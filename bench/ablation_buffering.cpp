@@ -39,7 +39,7 @@ int main() {
                     stats.loss_plus_zero_pct(), stats.throughput, "-");
       }
       // The ingest tier's zero-loss policies, with points really flowing
-      // through the sharded engine into per-shard storage.
+      // through the sharded engine into its store.
       for (sampler::BackpressureMode mode :
            {sampler::BackpressureMode::kBlock,
             sampler::BackpressureMode::kSpill}) {

@@ -55,8 +55,8 @@ void populate(metrics::Registry& reg) {
     reg.gauge(metrics::kMeasurementBreaker, instance, metrics::kFieldState)
         .set(0.0);
   }
-  for (const char* f : {"queries", "cache_hits", "cache_misses",
-                        "cache_evictions", "pushdown_hits"}) {
+  for (const char* f :
+       {"queries", "cache_hits", "cache_misses", "cache_evictions"}) {
     reg.counter(metrics::kMeasurementQuery, "engine", f).inc();
   }
   reg.histogram(metrics::kMeasurementQuery, "engine", "latency_ns")

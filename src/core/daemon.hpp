@@ -93,7 +93,7 @@ class Daemon {
   [[nodiscard]] tsdb::TimeSeriesDb& timeseries() { return ts_; }
   [[nodiscard]] const tsdb::TimeSeriesDb& timeseries() const { return ts_; }
 
-  /// Read path over timeseries(): cached, pushdown-capable query execution.
+  /// Read path over timeseries(): cached query execution.
   /// Dashboard refreshes and analysis queries should go through this rather
   /// than scanning the TSDB directly.
   [[nodiscard]] query::QueryEngine& query_engine() { return engine_; }

@@ -66,8 +66,8 @@ std::string render_dashboard(const Dashboard& dashboard,
                              const tsdb::TimeSeriesDb& db, int width = 60);
 
 /// Same rendering through a QueryEngine: repeated refreshes of an unchanged
-/// dashboard hit the engine's result cache and downsample pushdowns instead
-/// of rescanning the storage tier.
+/// dashboard hit the engine's result cache instead of rescanning the
+/// storage tier.
 std::string render_dashboard(const Dashboard& dashboard,
                              query::QueryEngine& engine, int width = 60);
 

@@ -1,65 +1,74 @@
 // Incrementally maintained aggregate of one field of one series.
 //
-// The ingestion engine updates these on every accepted point — both as
-// running per-series totals and as per-window state for continuous
-// downsampling queries — so AGGObservationInterface summaries (superdb) and
-// downsampled series come out of O(1) state instead of rescanning raw
-// points.
+// The ingestion engine updates one of these per field per open window of
+// every continuous downsampling query, so downsampled series come out of
+// O(1) state instead of rescanning raw points.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <limits>
-#include <string>
+
+#include "query/query.hpp"
 
 namespace pmove::ingest {
 
 struct FieldAggregate {
   std::size_t count = 0;
   double sum = 0.0;
-  double sumsq = 0.0;
   double min = std::numeric_limits<double>::infinity();
   double max = -std::numeric_limits<double>::infinity();
+  /// Welford's running mean and sum of squared deviations from it.  Unlike
+  /// the one-pass Σv² − (Σv)²/n, they do not cancel catastrophically when
+  /// the mean is large next to the spread.
+  double running_mean = 0.0;
+  double m2 = 0.0;
 
   void add(double v) {
     ++count;
     sum += v;
-    sumsq += v * v;
     min = std::min(min, v);
     max = std::max(max, v);
+    const double delta = v - running_mean;
+    running_mean += delta / static_cast<double>(count);
+    m2 += delta * (v - running_mean);
   }
 
-  void merge(const FieldAggregate& other) {
-    count += other.count;
-    sum += other.sum;
-    sumsq += other.sumsq;
-    min = std::min(min, other.min);
-    max = std::max(max, other.max);
-  }
-
+  /// Based on `sum`, like the evaluator's mean, so an in-order window
+  /// matches the raw GROUP BY time() answer.
   [[nodiscard]] double mean() const {
     return count == 0 ? std::nan("") : sum / static_cast<double>(count);
   }
 
-  /// Sample standard deviation, matching tsdb's stddev() aggregate.
+  /// Sample standard deviation, matching the evaluator's stddev().
   [[nodiscard]] double stddev() const {
     if (count < 2) return count == 0 ? std::nan("") : 0.0;
-    const double n = static_cast<double>(count);
-    const double var = (sumsq - sum * sum / n) / (n - 1.0);
-    return std::sqrt(std::max(0.0, var));
+    return std::sqrt(m2 / static_cast<double>(count - 1));
   }
 
-  /// Value of the named aggregate ("mean", "min", "max", "sum", "count",
-  /// "stddev"); NaN for unknown names or empty state.
-  [[nodiscard]] double value(const std::string& aggregate) const {
+  /// Value of `aggregate`; NaN for empty state and for the aggregates a
+  /// continuous query cannot register (none/first/last).
+  [[nodiscard]] double value(query::Aggregate aggregate) const {
     if (count == 0) return std::nan("");
-    if (aggregate == "mean") return mean();
-    if (aggregate == "min") return min;
-    if (aggregate == "max") return max;
-    if (aggregate == "sum") return sum;
-    if (aggregate == "count") return static_cast<double>(count);
-    if (aggregate == "stddev") return stddev();
+    switch (aggregate) {
+      case query::Aggregate::kMean:
+        return mean();
+      case query::Aggregate::kMin:
+        return min;
+      case query::Aggregate::kMax:
+        return max;
+      case query::Aggregate::kSum:
+        return sum;
+      case query::Aggregate::kCount:
+        return static_cast<double>(count);
+      case query::Aggregate::kStddev:
+        return stddev();
+      case query::Aggregate::kNone:
+      case query::Aggregate::kFirst:
+      case query::Aggregate::kLast:
+        break;
+    }
     return std::nan("");
   }
 };

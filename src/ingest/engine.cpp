@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <set>
 
 #include "fault/fault.hpp"
 #include "metrics/names.hpp"
@@ -17,6 +16,8 @@ namespace {
 
 constexpr std::int64_t kWorkerIdleNs = 50'000'000;  // spill-drain cadence
 constexpr char kKeySep = '\x1f';
+/// Checkpoint snapshot of the engine's store, relative to the WAL dir.
+constexpr char kSnapshotFile[] = "/checkpoint.lp";
 
 std::uint64_t fnv1a(std::uint64_t hash, std::string_view data) {
   for (unsigned char c : data) {
@@ -24,14 +25,6 @@ std::uint64_t fnv1a(std::uint64_t hash, std::string_view data) {
     hash *= 1099511628211ULL;
   }
   return hash;
-}
-
-std::string series_key(const std::string& measurement,
-                       std::string_view tag_value) {
-  std::string key = measurement;
-  key += kKeySep;
-  key += tag_value;
-  return key;
 }
 
 std::string window_key(std::size_t rule_index, const tsdb::Point& point,
@@ -79,7 +72,10 @@ Expected<BackpressurePolicy> parse_backpressure(std::string_view name) {
 
 IngestEngine::IngestEngine(IngestOptions options,
                            tsdb::TimeSeriesDb* external)
-    : options_(std::move(options)), external_(external) {
+    : options_(std::move(options)),
+      owned_(external == nullptr ? std::make_unique<tsdb::TimeSeriesDb>()
+                                 : nullptr),
+      db_(external != nullptr ? external : owned_.get()) {
   static const WallClock kWallClock;
   clock_ = options_.clock != nullptr ? options_.clock : &kWallClock;
   sleep_ = options_.sleep ? options_.sleep : real_sleep();
@@ -107,9 +103,6 @@ IngestEngine::IngestEngine(IngestOptions options,
   m_wal_failures_ = &reg.counter(m, "engine", "wal_failures");
   for (int i = 0; i < options_.shard_count; ++i) {
     auto shard = std::make_unique<Shard>(options_.queue_capacity);
-    if (external_ == nullptr) {
-      shard->storage = std::make_unique<tsdb::TimeSeriesDb>();
-    }
     shard->breaker = std::make_unique<CircuitBreaker>(
         "ingest.shard" + std::to_string(i), options_.sink_breaker, clock_);
     shard->seed = mix_seed(0x50'4d'56u, static_cast<std::uint64_t>(i));
@@ -138,12 +131,12 @@ Status IngestEngine::open() {
     wal_options.segment_bytes = options_.wal_segment_bytes;
     wal_options.sync_each_append = options_.wal_sync_each_append;
     if (Status s = wal_.open(std::move(wal_options)); !s.is_ok()) return s;
-    // Checkpoint snapshots hold everything that was truncated out of the
-    // log; the log holds only post-checkpoint records, so loading the
+    // The checkpoint snapshot holds everything that was truncated out of
+    // the log; the log holds only post-checkpoint records, so loading the
     // snapshot first and then replaying reproduces the full state with no
-    // duplicates.  Aggregate/continuous-query state is rebuilt only from
-    // the replayed tail — checkpointed history feeds storage, not windows.
-    if (Status s = load_snapshots(); !s.is_ok()) return s;
+    // duplicates.  Continuous-query windows are rebuilt only from the
+    // replayed tail — checkpointed history feeds storage, not windows.
+    if (Status s = load_snapshot(); !s.is_ok()) return s;
     // Recovery: re-ingest every surviving batch synchronously (workers are
     // not running yet).  The records stay in the WAL — the in-memory DB is
     // volatile, so the log remains the source of durability until an
@@ -165,20 +158,19 @@ Status IngestEngine::open() {
       if (batch.empty()) return Status::ok();
       recovered_points_ += batch.size();
       m_recovered_->add(batch.size());
-      std::vector<Batch> parts(shards_.size());
-      for (tsdb::Point& p : batch) {
-        parts[static_cast<std::size_t>(shard_of(p))].push_back(std::move(p));
-      }
-      for (std::size_t i = 0; i < parts.size(); ++i) {
-        if (parts[i].empty()) continue;
-        update_aggregates(*shards_[i], parts[i]);
-        inserted_points_ += parts[i].size();
-        if (Status s = insert_points(*shards_[i], std::move(parts[i]));
-            !s.is_ok()) {
-          return s;
+      if (!continuous_.empty()) {
+        // Windows live on the shard a series routes to, so a window the
+        // replay opens is the one live traffic keeps filling.
+        std::vector<Batch> parts(shards_.size());
+        for (const tsdb::Point& p : batch) {
+          parts[static_cast<std::size_t>(shard_of(p))].push_back(p);
+        }
+        for (std::size_t i = 0; i < parts.size(); ++i) {
+          update_aggregates(*shards_[i], parts[i]);
         }
       }
-      return Status::ok();
+      inserted_points_ += batch.size();
+      return db_->write_batch(std::move(batch));
     });
     if (!replay_status.is_ok()) return replay_status;
   }
@@ -452,7 +444,7 @@ Status IngestEngine::deliver_batch(Shard& shard, Batch& batch) {
   }
   update_aggregates(shard, batch);
   const std::size_t n = batch.size();
-  if (Status s = insert_points(shard, std::move(batch)); !s.is_ok()) {
+  if (Status s = db_->write_batch(std::move(batch)); !s.is_ok()) {
     // Points were validated at submit, so a refusal here is deterministic
     // (poison), not an outage: count it and drop rather than retry the
     // same error forever.
@@ -526,26 +518,9 @@ void IngestEngine::report_component(std::atomic<bool>& healthy,
 }
 
 void IngestEngine::update_aggregates(Shard& shard, const Batch& batch) {
+  if (continuous_.empty()) return;
   std::lock_guard<std::mutex> lock(shard.agg_mutex);
-  // Batches overwhelmingly carry runs of points from one series; cache the
-  // totals bucket so only the first point of a run pays the key build + map
-  // lookup.
-  const std::string empty_tag;
-  std::string cached_measurement, cached_tag;
-  std::map<std::string, FieldAggregate>* totals = nullptr;
   for (const tsdb::Point& point : batch) {
-    auto tag = point.tags.find("tag");
-    const std::string& tag_value =
-        tag == point.tags.end() ? empty_tag : tag->second;
-    if (totals == nullptr || point.measurement != cached_measurement ||
-        tag_value != cached_tag) {
-      totals = &shard.totals[series_key(point.measurement, tag_value)];
-      cached_measurement = point.measurement;
-      cached_tag = tag_value;
-    }
-    for (const auto& [field, value] : point.fields) {
-      (*totals)[field].add(value);
-    }
     for (std::size_t r = 0; r < continuous_.size(); ++r) {
       const ContinuousQuery& rule = continuous_[r];
       if (rule.source_measurement != point.measurement) continue;
@@ -562,12 +537,6 @@ void IngestEngine::update_aggregates(Shard& shard, const Batch& batch) {
       }
     }
   }
-}
-
-Status IngestEngine::insert_points(Shard& shard, Batch batch) {
-  tsdb::TimeSeriesDb* db =
-      external_ != nullptr ? external_ : shard.storage.get();
-  return db->write_batch(std::move(batch));
 }
 
 void IngestEngine::note_applied(std::size_t batches) {
@@ -609,64 +578,35 @@ Status IngestEngine::checkpoint() {
   // wait_drained() needs to make the snapshot cover every logged record.
   std::unique_lock<std::shared_mutex> gate(checkpoint_gate_);
   wait_drained();
-  if (Status s = write_snapshots(); !s.is_ok()) return s;
+  if (Status s = write_snapshot(); !s.is_ok()) return s;
   if (Status s = wal_.checkpoint(); !s.is_ok()) return s;
   checkpoints_ += 1;
   return Status::ok();
 }
 
-std::string IngestEngine::snapshot_path(int shard) const {
-  if (shard < 0) return options_.wal_dir + "/checkpoint.lp";
-  return options_.wal_dir + "/checkpoint-shard" + std::to_string(shard) +
-         ".lp";
-}
-
-Status IngestEngine::write_snapshots() const {
-  const auto dump = [](const tsdb::TimeSeriesDb& db,
-                       const std::string& path) -> Status {
-    // tmp + rename: a crash mid-dump leaves the previous snapshot intact.
-    const std::string tmp = path + ".tmp";
-    if (Status s = db.dump_to_file(tmp); !s.is_ok()) return s;
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-      return Status::internal("cannot install snapshot: " + path);
-    }
-    return Status::ok();
-  };
-  if (external_ != nullptr) return dump(*external_, snapshot_path(-1));
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    if (Status s = dump(*shards_[i]->storage,
-                        snapshot_path(static_cast<int>(i)));
-        !s.is_ok()) {
-      return s;
-    }
+Status IngestEngine::write_snapshot() const {
+  // tmp + rename: a crash mid-dump leaves the previous snapshot intact.
+  const std::string path = options_.wal_dir + kSnapshotFile;
+  const std::string tmp = path + ".tmp";
+  if (Status s = db_->dump_to_file(tmp); !s.is_ok()) return s;
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    return Status::internal("cannot install snapshot: " + path);
   }
   return Status::ok();
 }
 
-Status IngestEngine::load_snapshots() {
-  const auto load = [](tsdb::TimeSeriesDb& db,
-                       const std::string& path) -> Status {
-    Status s = db.load_from_file(path);
-    if (!s.is_ok() && s.code() == ErrorCode::kNotFound) {
-      return Status::ok();  // never checkpointed — nothing to load
-    }
-    return s;
-  };
-  // External mode: the attached DB's owner restores its own state (the
-  // daemon's load_session reads timeseries.lp, which save_session dumped
+Status IngestEngine::load_snapshot() {
+  // Attached store: its owner restores its own state (the daemon's
+  // load_session reads timeseries.lp, which save_session dumped
   // immediately before checkpointing) — auto-loading checkpoint.lp here
   // would double every restored point.  The snapshot still exists on disk
   // for operators recovering without a session directory.
-  if (external_ != nullptr) return Status::ok();
-  const std::size_t before = point_count();
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    if (Status s = load(*shards_[i]->storage,
-                        snapshot_path(static_cast<int>(i)));
-        !s.is_ok()) {
-      return s;
-    }
-  }
-  const std::size_t gained = point_count() - before;
+  if (owned_ == nullptr) return Status::ok();
+  const std::size_t before = db_->point_count();
+  Status loaded = db_->load_from_file(options_.wal_dir + kSnapshotFile);
+  // kNotFound: never checkpointed — nothing to load.
+  if (!loaded.is_ok() && loaded.code() != ErrorCode::kNotFound) return loaded;
+  const std::size_t gained = db_->point_count() - before;
   if (gained > 0) {
     recovered_points_ += gained;
     m_recovered_->add(gained);
@@ -688,14 +628,16 @@ Status IngestEngine::register_continuous_query(ContinuousQuery cq) {
   if (cq.window_ns <= 0) {
     return Status::invalid_argument("continuous query window must be > 0");
   }
-  static const std::set<std::string> kAggs = {"mean", "min",   "max",
-                                              "sum",  "count", "stddev"};
-  if (kAggs.find(cq.aggregate) == kAggs.end()) {
-    return Status::invalid_argument("unsupported aggregate: " + cq.aggregate);
+  const std::string aggregate(query::to_string(cq.aggregate));
+  // Windows keep no per-value times, so first/last cannot be rolled up.
+  if (cq.aggregate == query::Aggregate::kNone ||
+      cq.aggregate == query::Aggregate::kFirst ||
+      cq.aggregate == query::Aggregate::kLast) {
+    return Status::invalid_argument("unsupported aggregate: " + aggregate);
   }
   if (cq.target_measurement.empty()) {
-    cq.target_measurement = cq.source_measurement + "_" + cq.aggregate +
-                            "_" + std::to_string(cq.window_ns) + "ns";
+    cq.target_measurement = cq.source_measurement + "_" + aggregate + "_" +
+                            std::to_string(cq.window_ns) + "ns";
   }
   continuous_.push_back(std::move(cq));
   return Status::ok();
@@ -703,83 +645,43 @@ Status IngestEngine::register_continuous_query(ContinuousQuery cq) {
 
 Status IngestEngine::close_windows(TimeNs watermark) {
   if (Status s = flush(); !s.is_ok()) return s;
+  Batch emitted;
   for (auto& shard : shards_) {
-    Batch emitted;
-    {
-      std::lock_guard<std::mutex> lock(shard->agg_mutex);
-      for (auto it = shard->windows.begin(); it != shard->windows.end();) {
-        const WindowState& window = it->second;
-        if (window.window_start + window.rule->window_ns > watermark) {
-          ++it;
-          continue;
-        }
-        tsdb::Point point;
-        point.measurement = window.rule->target_measurement;
-        point.tags = window.tags;
-        point.time = window.window_start;
-        for (const auto& [field, agg] : window.fields) {
-          point.fields[field] = agg.value(window.rule->aggregate);
-        }
-        emitted.push_back(std::move(point));
-        it = shard->windows.erase(it);
-      }
-    }
-    if (!emitted.empty()) {
-      downsampled_points_ += emitted.size();
-      // Downsampled points go straight into this shard's storage (queries
-      // merge across shards, so placement does not affect results) and
-      // bypass the WAL: they are derivable from the raw log.
-      if (Status s = insert_points(*shard, std::move(emitted)); !s.is_ok()) {
-        return s;
-      }
-    }
-  }
-  return Status::ok();
-}
-
-std::map<std::string, FieldAggregate> IngestEngine::series_aggregates(
-    std::string_view measurement, std::string_view tag) const {
-  const std::string key =
-      series_key(std::string(measurement), tag);
-  std::map<std::string, FieldAggregate> merged;
-  for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->agg_mutex);
-    auto it = shard->totals.find(key);
-    if (it == shard->totals.end()) continue;
-    for (const auto& [field, agg] : it->second) {
-      merged[field].merge(agg);
+    for (auto it = shard->windows.begin(); it != shard->windows.end();) {
+      const WindowState& window = it->second;
+      if (window.window_start + window.rule->window_ns > watermark) {
+        ++it;
+        continue;
+      }
+      tsdb::Point point;
+      point.measurement = window.rule->target_measurement;
+      point.tags = window.tags;
+      point.time = window.window_start;
+      for (const auto& [field, agg] : window.fields) {
+        point.fields[field] = agg.value(window.rule->aggregate);
+      }
+      emitted.push_back(std::move(point));
+      it = shard->windows.erase(it);
     }
   }
-  return merged;
+  if (emitted.empty()) return Status::ok();
+  downsampled_points_ += emitted.size();
+  // Downsampled points bypass the WAL: they are derivable from the raw log.
+  return db_->write_batch(std::move(emitted));
 }
 
 // ---------------------------------------------------------------- read path
 
 Expected<tsdb::QueryResult> IngestEngine::query(
     std::string_view text) const {
-  if (external_ != nullptr) return query::run(*external_, text);
-  std::vector<const tsdb::TimeSeriesDb*> shards;
-  shards.reserve(shards_.size());
-  for (const auto& shard : shards_) shards.push_back(shard->storage.get());
-  return query::run_sharded(shards, text);
+  return query::run(*db_, text);
 }
 
-std::size_t IngestEngine::point_count() const {
-  if (external_ != nullptr) return external_->point_count();
-  std::size_t total = 0;
-  for (const auto& shard : shards_) total += shard->storage->point_count();
-  return total;
-}
+std::size_t IngestEngine::point_count() const { return db_->point_count(); }
 
 std::vector<std::string> IngestEngine::measurements() const {
-  if (external_ != nullptr) return external_->measurements();
-  std::set<std::string> names;
-  for (const auto& shard : shards_) {
-    for (auto& name : shard->storage->measurements()) {
-      names.insert(std::move(name));
-    }
-  }
-  return {names.begin(), names.end()};
+  return db_->measurements();
 }
 
 // ------------------------------------------------------------ introspection

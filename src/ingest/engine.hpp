@@ -6,10 +6,11 @@
 //
 //   * sharding     — points are routed by hash(measurement, tags) onto N
 //                    shards, each with its own bounded MPSC queue and worker
-//                    thread, so concurrent writers never contend on one
-//                    mutex;
+//                    thread, so concurrent producers never contend on one
+//                    queue;
 //   * batching     — writers submit whole batches that are decoded once and
-//                    bulk-inserted per shard (TimeSeriesDb::write_batch);
+//                    bulk-inserted by each shard's worker
+//                    (TimeSeriesDb::write_batch);
 //   * backpressure — a full queue triggers one of {drop, block, spill}
 //                    instead of unconditional loss;
 //   * durability   — every acknowledged batch is appended to a CRC-checked
@@ -17,12 +18,12 @@
 //                    replays the log into storage;
 //   * continuous queries — registered downsampling rules run incrementally
 //                    on ingest and emit aggregated points without rescanning
-//                    raw data, feeding superdb's AGGObservationInterface.
+//                    raw data.
 //
-// Storage modes: by default each shard owns a private TimeSeriesDb and
-// queries merge across shards (query::run_sharded); alternatively the
-// engine can be attached to an external TimeSeriesDb (the daemon's), where
-// shards act as batching/backpressure stages in front of the shared DB.
+// Storage: the engine writes, reads and snapshots exactly one TimeSeriesDb —
+// the caller's (the daemon's, a fleet node's) or, when the caller passes
+// none, one it owns.  Shards are batching/backpressure stages in front of
+// that store, never stores of their own.
 //
 // The engine also keeps self-telemetry counters (points/sec, queue depths,
 // drops, spills) exposed as an ObservationInterface-able measurement so
@@ -43,6 +44,7 @@
 #include "ingest/ring_buffer.hpp"
 #include "ingest/wal.hpp"
 #include "metrics/registry.hpp"
+#include "query/query.hpp"
 #include "tsdb/db.hpp"
 #include "tsdb/sink.hpp"
 #include "util/breaker.hpp"
@@ -75,7 +77,7 @@ struct IngestOptions {
   bool wal_sync_each_append = false;
   /// Automatic checkpoint trigger: when a flush() finds more than this many
   /// WAL segments on disk, the engine checkpoints (snapshot storage into
-  /// <wal_dir>/checkpoint*.lp, then truncate the log).  0 = no automatic
+  /// <wal_dir>/checkpoint.lp, then truncate the log).  0 = no automatic
   /// trigger; checkpoint() remains available.  Env: PMOVE_WAL_MAX_SEGMENTS.
   std::size_t wal_max_segments = 0;
 
@@ -119,7 +121,7 @@ struct IngestOptions {
 /// (stamped with the window start) when the watermark passes the window end.
 struct ContinuousQuery {
   std::string source_measurement;
-  std::string aggregate = "mean";
+  query::Aggregate aggregate = query::Aggregate::kMean;
   TimeNs window_ns = kNsPerSec;
   std::string target_measurement;  ///< default: "<source>_<agg>_<window>"
 };
@@ -154,8 +156,8 @@ struct IngestStats {
 
 class IngestEngine final : public tsdb::PointSink {
  public:
-  /// `external` != nullptr attaches the engine to an existing DB instead of
-  /// per-shard storage.  Call open() before submitting.
+  /// `external` != nullptr attaches the engine to an existing DB; otherwise
+  /// the engine owns one.  Call open() before submitting.
   explicit IngestEngine(IngestOptions options,
                         tsdb::TimeSeriesDb* external = nullptr);
   ~IngestEngine() override;
@@ -199,15 +201,15 @@ class IngestEngine final : public tsdb::PointSink {
   /// doubles as the segment-count trigger.
   Status flush();
 
-  /// Durability checkpoint: drains in-flight batches, snapshots storage to
-  /// <wal_dir>/checkpoint[-shard<i>].lp (atomic tmp+rename), then truncates
-  /// every WAL segment.  Producers pause at the WAL gate for the duration,
-  /// so no acknowledged record can fall between snapshot and truncation.
-  /// Per-shard storage: the next open() loads the snapshots before
-  /// replaying the (short) log.  External storage: the snapshot is written
-  /// but NOT auto-loaded on open — the attached DB's owner restores state
-  /// (the daemon's save_session dumps, then calls this; load_session
-  /// restores the dump and open() replays only the post-checkpoint tail).
+  /// Durability checkpoint: drains in-flight batches, snapshots the store to
+  /// <wal_dir>/checkpoint.lp (atomic tmp+rename), then truncates every WAL
+  /// segment.  Producers pause at the WAL gate for the duration, so no
+  /// acknowledged record can fall between snapshot and truncation.
+  /// Owned store: the next open() loads the snapshot before replaying the
+  /// (short) log.  Attached store: the snapshot is written but NOT
+  /// auto-loaded on open — the attached DB's owner restores state (the
+  /// daemon's save_session dumps, then calls this; load_session restores
+  /// the dump and open() replays only the post-checkpoint tail).
   /// No-op without a WAL.  Replaces the manual-only wal().checkpoint() flow.
   Status checkpoint();
 
@@ -219,16 +221,9 @@ class IngestEngine final : public tsdb::PointSink {
   /// before `watermark` into storage.
   Status close_windows(TimeNs watermark);
 
-  /// Running (since open) aggregates of `measurement` restricted to points
-  /// whose "tag" tag equals `tag` — maintained incrementally on ingest, so
-  /// building an AGGObservationInterface needs no raw-point rescan.
-  [[nodiscard]] std::map<std::string, FieldAggregate> series_aggregates(
-      std::string_view measurement, std::string_view tag) const;
-
   // ------------------------------------------------------------ read path
 
-  /// Query over the full data set; per-shard slices are merged so results
-  /// match a single-DB query over the union (external mode: delegates).
+  /// Uncached query over the engine's store (query::run).
   [[nodiscard]] Expected<tsdb::QueryResult> query(
       std::string_view text) const;
 
@@ -284,7 +279,6 @@ class IngestEngine final : public tsdb::PointSink {
   struct Shard {
     explicit Shard(std::size_t queue_capacity) : queue(queue_capacity) {}
     BoundedQueue<Batch> queue;
-    std::unique_ptr<tsdb::TimeSeriesDb> storage;  ///< null in external mode
     std::thread worker;
     // Spill tier: overflow batches (already WAL-durable) the worker drains
     // after each queue round.
@@ -303,10 +297,9 @@ class IngestEngine final : public tsdb::PointSink {
     // delivery path); the atomic mirror is for stats()/introspection.
     Ewma sink_latency;
     std::atomic<std::uint64_t> sink_latency_ns{0};
-    // Incremental aggregate state, touched only by this shard's worker
-    // thread (and by close_windows/series_aggregates after a flush).
-    mutable std::mutex agg_mutex;
-    std::map<std::string, std::map<std::string, FieldAggregate>> totals;
+    // Continuous-query windows of this shard's series, touched only by its
+    // worker thread (and by close_windows after a flush).
+    std::mutex agg_mutex;
     std::map<std::string, WindowState> windows;
     // pmove_ingest self-telemetry, instance "shard<i>".  All engines in the
     // process share these series (the registry is global); the per-engine
@@ -324,15 +317,13 @@ class IngestEngine final : public tsdb::PointSink {
   /// flush() minus the auto-checkpoint trigger (checkpoint() itself needs
   /// to drain without recursing).
   void wait_drained();
-  /// Loads checkpoint snapshot files into storage (recovery, before WAL
-  /// replay).  Missing files are fine — there was no checkpoint yet.
-  Status load_snapshots();
-  Status write_snapshots() const;
-  [[nodiscard]] std::string snapshot_path(int shard) const;
+  /// Loads the checkpoint snapshot into an owned store (recovery, before
+  /// WAL replay).  A missing file is fine — there was no checkpoint yet.
+  Status load_snapshot();
+  Status write_snapshot() const;
   void worker_loop(Shard& shard);
   void apply_batch(Shard& shard, Batch batch);
   void update_aggregates(Shard& shard, const Batch& batch);
-  Status insert_points(Shard& shard, Batch batch);
   void note_applied(std::size_t batches);
   /// One guarded delivery attempt: breaker -> retry -> sink.  ok() means
   /// the batch is in storage (or was poison and got counted + dropped);
@@ -346,7 +337,8 @@ class IngestEngine final : public tsdb::PointSink {
                         const Status& status);
 
   IngestOptions options_;
-  tsdb::TimeSeriesDb* external_ = nullptr;
+  std::unique_ptr<tsdb::TimeSeriesDb> owned_;  ///< null when attached
+  tsdb::TimeSeriesDb* db_ = nullptr;           ///< the one store; never null
   const Clock* clock_ = nullptr;  ///< never null after construction
   SleepFn sleep_;
   std::vector<std::unique_ptr<Shard>> shards_;

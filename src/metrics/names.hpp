@@ -18,7 +18,8 @@ inline constexpr char kMeasurementWal[] = "pmove_wal";
 inline constexpr char kMeasurementBreaker[] = "pmove_breaker";
 /// HealthRegistry: failures / supervised restarts / state per component.
 inline constexpr char kMeasurementHealth[] = "pmove_health";
-/// Query engine: query counts, result-cache hit/miss/evictions, pushdowns.
+/// Query engine: query counts, result-cache hit/miss/evictions; the shared
+/// worker pool's size and task count (instance "pool").
 inline constexpr char kMeasurementQuery[] = "pmove_query";
 /// Fault injection: trigger/fire counters per armed point.
 inline constexpr char kMeasurementFault[] = "pmove_fault";

@@ -1,12 +1,11 @@
 // LRU result cache for the query engine.
 //
 // Entries are keyed by the canonical query text (Plan::cache_key) and
-// tagged with the measurement the result was actually computed from plus
-// that measurement's write epoch *read before the scan*.  An entry is valid
-// only while the measurement's current epoch still equals the tag, so a
-// write that races with the scan can only make the stored epoch older than
-// the data — the entry is then invalidated on the next lookup, never served
-// stale.  Capacity 0 disables caching entirely.
+// tagged with the queried measurement's write epoch *read before the scan*.
+// An entry is valid only while the measurement's current epoch still equals
+// the tag, so a write that races with the scan can only make the stored
+// epoch older than the data — the entry is then invalidated on the next
+// lookup, never served stale.  Capacity 0 disables caching entirely.
 #pragma once
 
 #include <cstdint>
@@ -23,8 +22,7 @@ class ResultCache {
  public:
   struct Entry {
     tsdb::QueryResult result;
-    std::string measurement;  ///< measurement the result was computed from
-    std::uint64_t epoch = 0;  ///< its write epoch, read before the scan
+    std::uint64_t epoch = 0;  ///< write epoch, read before the scan
   };
 
   explicit ResultCache(std::size_t capacity) : capacity_(capacity) {}

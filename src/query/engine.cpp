@@ -1,44 +1,20 @@
 #include "query/engine.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <cstdint>
-#include <limits>
-#include <map>
-#include <span>
 #include <utility>
 
 #include "metrics/names.hpp"
 
 namespace pmove::query {
 
-namespace {
-
-/// True when `bound` is an open bound or lands exactly on a window edge
-/// (start for the lower bound, end-1 for the upper).  Negative bounds are
-/// conservatively rejected — raw scans handle them.
-bool aligned_lower(TimeNs bound, TimeNs window) {
-  if (bound == std::numeric_limits<TimeNs>::min()) return true;
-  return bound >= 0 && bound % window == 0;
-}
-
-bool aligned_upper(TimeNs bound, TimeNs window) {
-  if (bound == std::numeric_limits<TimeNs>::max()) return true;
-  return bound >= 0 && (bound + 1) % window == 0;
-}
-
-}  // namespace
-
 QueryEngine::QueryEngine(tsdb::TimeSeriesDb& db, EngineOptions options)
-    : db_(db), options_(options), cache_(options.cache_capacity) {
+    : db_(db), cache_(options.cache_capacity) {
   metrics::Registry& reg = metrics::Registry::global();
   const char* m = metrics::kMeasurementQuery;
   m_queries_ = &reg.counter(m, "engine", "queries");
   m_cache_hits_ = &reg.counter(m, "engine", "cache_hits");
   m_cache_misses_ = &reg.counter(m, "engine", "cache_misses");
   m_cache_evictions_ = &reg.counter(m, "engine", "cache_evictions");
-  m_pushdown_hits_ = &reg.counter(m, "engine", "pushdown_hits");
-  m_pushdown_fallbacks_ = &reg.counter(m, "engine", "pushdown_fallbacks");
 }
 
 Expected<tsdb::QueryResult> QueryEngine::run(std::string_view text) {
@@ -49,18 +25,17 @@ Expected<tsdb::QueryResult> QueryEngine::run(std::string_view text) {
 
 Expected<tsdb::QueryResult> QueryEngine::run(const Query& q) {
   Plan plan = make_plan(q);
-  int rule_index = -1;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.queries;
     m_queries_->inc();
     if (cache_.capacity() > 0) {
       if (const ResultCache::Entry* entry = cache_.get(plan.cache_key)) {
-        // Valid while the scanned measurement's epoch is unchanged.  The
-        // epoch was read *before* the scan, so a racing write can only make
-        // the tag stale (miss), never the data.
+        // Valid while the measurement's epoch is unchanged.  The epoch was
+        // read *before* the scan, so a racing write can only make the tag
+        // stale (miss), never the data.
         if (entry->epoch != 0 &&
-            db_.write_epoch(entry->measurement) == entry->epoch) {
+            db_.write_epoch(q.measurement) == entry->epoch) {
           ++stats_.cache_hits;
           m_cache_hits_->inc();
           return entry->result;
@@ -69,49 +44,17 @@ Expected<tsdb::QueryResult> QueryEngine::run(const Query& q) {
     }
     ++stats_.cache_misses;
     m_cache_misses_->inc();
-    if (options_.enable_pushdown && plan.kind == PlanKind::kGroupedAggregate) {
-      rule_index = match_rule(q);
-    }
   }
 
   // Execute outside the engine lock: scans run under the DB's shared lock
   // so concurrent panels proceed in parallel.
-  std::string scanned = q.measurement;
-  std::uint64_t epoch = 0;
-  std::optional<tsdb::QueryResult> pushed;
-  if (rule_index >= 0) {
-    DownsampleRule rule;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      rule = rules_[static_cast<std::size_t>(rule_index)];
-    }
-    epoch = db_.write_epoch(rule.target_measurement);
-    pushed = run_pushdown(q, rule);
-    if (pushed.has_value()) scanned = rule.target_measurement;
-  }
-
-  Expected<tsdb::QueryResult> result = Status::internal("unreachable");
-  if (pushed.has_value()) {
-    result = std::move(*pushed);
-  } else {
-    epoch = db_.write_epoch(q.measurement);
-    result = query::run(db_, q);
-  }
+  const std::uint64_t epoch = db_.write_epoch(q.measurement);
+  Expected<tsdb::QueryResult> result = query::run(db_, q);
 
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (rule_index >= 0) {
-      if (scanned == q.measurement) {
-        ++stats_.pushdown_fallbacks;
-        m_pushdown_fallbacks_->inc();
-      } else {
-        ++stats_.pushdown_hits;
-        m_pushdown_hits_->inc();
-      }
-    }
     if (result.has_value() && cache_.capacity() > 0 && epoch != 0) {
-      cache_.put(plan.cache_key,
-                 {result.value(), std::move(scanned), epoch});
+      cache_.put(plan.cache_key, {result.value(), epoch});
       // Global counter gets the delta; the per-engine snapshot mirrors the
       // cache's own total.
       const std::uint64_t evictions = cache_.evictions();
@@ -120,183 +63,6 @@ Expected<tsdb::QueryResult> QueryEngine::run(const Query& q) {
     }
   }
   return result;
-}
-
-Status QueryEngine::register_downsample(DownsampleRule rule) {
-  if (rule.source_measurement.empty()) {
-    return Status::invalid_argument("downsample rule needs a source");
-  }
-  if (rule.aggregate == Aggregate::kNone) {
-    return Status::invalid_argument("downsample rule needs an aggregate");
-  }
-  if (rule.window_ns <= 0) {
-    return Status::invalid_argument("downsample window must be positive");
-  }
-  if (rule.target_measurement.empty()) {
-    rule.target_measurement = rule.source_measurement + "_" +
-                              std::string(to_string(rule.aggregate)) + "_" +
-                              std::to_string(rule.window_ns) + "ns";
-  }
-  if (rule.target_measurement == rule.source_measurement) {
-    return Status::invalid_argument(
-        "downsample target must differ from source");
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (const DownsampleRule& existing : rules_) {
-    if (existing.target_measurement == rule.target_measurement) {
-      return Status::already_exists("downsample target already registered: " +
-                                    rule.target_measurement);
-    }
-  }
-  rules_.push_back(std::move(rule));
-  return Status::ok();
-}
-
-std::vector<DownsampleRule> QueryEngine::downsamples() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return rules_;
-}
-
-Status QueryEngine::materialize_downsamples() {
-  std::vector<DownsampleRule> rules;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    rules = rules_;
-  }
-  for (const DownsampleRule& rule : rules) {
-    if (Status s = materialize(rule); !s.is_ok()) return s;
-  }
-  return Status::ok();
-}
-
-Status QueryEngine::materialize(const DownsampleRule& rule) {
-  // One columnar scan: each view IS a tag-set group in (time, seq) order —
-  // the grouping the old path rebuilt by hashing every point's tag map — so
-  // values are gathered in the same order and the reduced doubles are
-  // bit-for-bit identical.
-  std::vector<tsdb::Point> out;
-  db_.scan(
-      rule.source_measurement, std::numeric_limits<TimeNs>::min(),
-      std::numeric_limits<TimeNs>::max(), {},
-      [&](std::span<const tsdb::SeriesView> views) {
-        std::vector<double> values;
-        std::vector<TimeNs> value_times;
-        std::vector<tsdb::SeriesView::Loc> locs;
-        std::vector<TimeNs> times;
-        for (const tsdb::SeriesView& view : views) {
-          const auto tags = view.decode_tags();
-          locs.clear();
-          times.clear();
-          locs.reserve(view.rows());
-          times.reserve(view.rows());
-          view.for_each_row([&](tsdb::SeriesView::Loc loc, TimeNs time) {
-            locs.push_back(loc);
-            times.push_back(time);
-          });
-          std::size_t i = 0;
-          while (i < times.size()) {
-            const auto floor_bucket = [&rule](TimeNs t) {
-              TimeNs b = t / rule.window_ns * rule.window_ns;
-              if (t < 0 && t % rule.window_ns != 0) {
-                b -= rule.window_ns;  // floor for negative timestamps
-              }
-              return b;
-            };
-            const TimeNs bucket = floor_bucket(times[i]);
-            std::size_t j = i + 1;
-            while (j < times.size() && floor_bucket(times[j]) == bucket) ++j;
-            tsdb::Point target;
-            target.measurement = rule.target_measurement;
-            target.tags = tags;
-            target.time = bucket;
-            for (std::size_t f = 0; f < view.field_count(); ++f) {
-              values.clear();
-              value_times.clear();
-              for (std::size_t r = i; r < j; ++r) {
-                if (!view.has_value(f, locs[r])) continue;
-                values.push_back(view.value_at(f, locs[r]));
-                value_times.push_back(times[r]);
-              }
-              if (values.empty()) continue;  // field absent in this bucket
-              target.fields[std::string(view.field_name(f))] =
-                  aggregate(rule.aggregate, values, value_times);
-            }
-            out.push_back(std::move(target));
-            i = j;
-          }
-        }
-      });
-  db_.drop_measurement(rule.target_measurement);
-  if (out.empty()) return Status::ok();
-  return db_.write_batch(std::move(out));
-}
-
-int QueryEngine::match_rule(const Query& q) const {
-  if (q.select_all || q.selectors.empty() || q.group_interval <= 0) {
-    return -1;
-  }
-  for (std::size_t i = 0; i < rules_.size(); ++i) {
-    const DownsampleRule& rule = rules_[i];
-    if (rule.source_measurement != q.measurement) continue;
-    if (rule.window_ns != q.group_interval) continue;
-    if (!aligned_lower(q.time_min, rule.window_ns)) continue;
-    if (!aligned_upper(q.time_max, rule.window_ns)) continue;
-    const bool all_match = std::all_of(
-        q.selectors.begin(), q.selectors.end(),
-        [&rule](const Selector& s) { return s.aggregate == rule.aggregate; });
-    if (all_match) return static_cast<int>(i);
-  }
-  return -1;
-}
-
-std::optional<tsdb::QueryResult> QueryEngine::run_pushdown(
-    const Query& q, const DownsampleRule& rule) const {
-  std::optional<tsdb::QueryResult> out;
-  db_.scan(
-      rule.target_measurement, q.time_min, q.time_max, q.tag_filters,
-      [&](std::span<const tsdb::SeriesView> views) {
-        if (views.empty()) return;  // absent/empty target: fall back
-        // Raw evaluation merges every matching tag set into one bucket row;
-        // the target holds one point per (window, tag set).  Two target
-        // rows with the same timestamp therefore mean the raw scan would
-        // have combined values the downsample already reduced separately —
-        // fall back.
-        const std::vector<tsdb::ViewRow> refs = tsdb::merged_view_rows(views);
-        for (std::size_t i = 1; i < refs.size(); ++i) {
-          if (refs[i].time == refs[i - 1].time) return;
-        }
-        std::vector<std::vector<std::size_t>> field_of(views.size());
-        for (std::size_t vi = 0; vi < views.size(); ++vi) {
-          field_of[vi].reserve(q.selectors.size());
-          for (const Selector& sel : q.selectors) {
-            field_of[vi].push_back(views[vi].field_index(sel.field));
-          }
-        }
-        tsdb::QueryResult result;
-        result.columns.emplace_back("time");
-        for (const Selector& sel : q.selectors) {
-          result.columns.push_back(sel.label());
-        }
-        result.rows.reserve(refs.size());
-        for (const tsdb::ViewRow& ref : refs) {
-          const tsdb::SeriesView& view = views[ref.view];
-          std::vector<double> values;
-          values.reserve(q.selectors.size() + 1);
-          values.push_back(static_cast<double>(ref.time));
-          for (std::size_t s = 0; s < q.selectors.size(); ++s) {
-            const std::size_t field = field_of[ref.view][s];
-            if (field >= view.field_count() ||
-                !view.has_value(field, ref.loc)) {
-              values.push_back(std::nan(""));
-              continue;
-            }
-            values.push_back(view.value_at(field, ref.loc));
-          }
-          result.rows.push_back(std::move(values));
-        }
-        out = std::move(result);
-      });
-  return out;
 }
 
 EngineStats QueryEngine::stats() const {

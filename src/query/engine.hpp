@@ -1,26 +1,15 @@
 // Concurrent TSDB query engine: parse → plan → execute with an epoch-keyed
-// LRU result cache and aggregate pushdown onto downsampled series.
+// LRU result cache.
 //
 // One engine fronts one TimeSeriesDb.  Dashboard panels submit typed
 // Queries (or legacy text) through run():
 //
-//   1. cache  — the plan's canonical text keys an LRU entry tagged with the
-//               write epoch of the measurement it was computed from; while
-//               the epoch is unchanged the panel is served without touching
-//               point storage (write_batch bumps the epoch, invalidating);
-//   2. pushdown — a GROUP BY time(W) query whose aggregate and window match
-//               a registered DownsampleRule is answered from the
-//               materialized downsample series (one point per window per
-//               tag set) instead of rescanning raw points — the pushdown
-//               the paper's AGGObservationInterface windows exist for;
-//   3. raw    — otherwise collect + execute under the DB's shared lock,
-//               which readers hold concurrently.
-//
-// Pushdown answers are bit-for-bit identical to raw scans because
-// materialize_downsamples() reduces each window with the same shared
-// evaluator (plan.hpp's aggregate()) over values in the same order; when a
-// window holds more than one tag set — a case raw evaluation would merge —
-// the engine detects it and falls back to the raw scan.
+//   1. cache — the plan's canonical text keys an LRU entry tagged with the
+//              write epoch of the queried measurement; while the epoch is
+//              unchanged the panel is served without touching point storage
+//              (write_batch bumps the epoch, invalidating);
+//   2. scan  — otherwise query::run() evaluates under the DB's shared lock,
+//              which readers hold concurrently.
 //
 // Thread safety: run() may be called from any number of panel threads
 // concurrently with writers on the underlying DB.  The engine's own mutex
@@ -29,36 +18,20 @@
 
 #include <cstdint>
 #include <mutex>
-#include <optional>
-#include <string>
 #include <string_view>
-#include <vector>
 
 #include "metrics/registry.hpp"
 #include "query/cache.hpp"
 #include "query/plan.hpp"
 #include "query/query.hpp"
 #include "tsdb/db.hpp"
-#include "util/clock.hpp"
 #include "util/status.hpp"
 
 namespace pmove::query {
 
-/// A registered downsample series: `target_measurement` holds, per
-/// `window_ns` window and per tag set, one point whose fields carry
-/// `aggregate` over the raw fields of `source_measurement`.  Mirrors the
-/// ingest tier's ContinuousQuery shape (same default target name).
-struct DownsampleRule {
-  std::string source_measurement;
-  Aggregate aggregate = Aggregate::kMean;
-  TimeNs window_ns = kNsPerSec;
-  std::string target_measurement;  ///< default: "<source>_<agg>_<window>ns"
-};
-
 struct EngineOptions {
   /// Result-cache entries; 0 disables caching.
   std::size_t cache_capacity = 256;
-  bool enable_pushdown = true;
 };
 
 /// Monotonic counters (snapshot).
@@ -67,10 +40,6 @@ struct EngineStats {
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   std::uint64_t cache_evictions = 0;
-  std::uint64_t pushdown_hits = 0;
-  /// Pushdown-eligible queries that had to rescan raw points (no
-  /// materialized target, or >1 tag set per window).
-  std::uint64_t pushdown_fallbacks = 0;
 };
 
 class QueryEngine {
@@ -80,21 +49,10 @@ class QueryEngine {
   QueryEngine(const QueryEngine&) = delete;
   QueryEngine& operator=(const QueryEngine&) = delete;
 
-  /// Executes a typed query through cache → pushdown → raw scan.
+  /// Executes a typed query through cache → scan.
   Expected<tsdb::QueryResult> run(const Query& q);
   /// Legacy text entry point: parse once, then run().
   Expected<tsdb::QueryResult> run(std::string_view text);
-
-  /// Registers a downsample rule; an empty target name defaults to
-  /// "<source>_<agg>_<window>ns".  Call materialize_downsamples() (or feed
-  /// the target from the ingest tier's continuous queries) to populate it.
-  Status register_downsample(DownsampleRule rule);
-  [[nodiscard]] std::vector<DownsampleRule> downsamples() const;
-
-  /// (Re)computes every registered target measurement from the current raw
-  /// points, using the shared evaluator so pushdown answers match raw scans
-  /// bit-for-bit.  Replaces the target's previous contents.
-  Status materialize_downsamples();
 
   [[nodiscard]] EngineStats stats() const;
   void clear_cache();
@@ -103,24 +61,11 @@ class QueryEngine {
   [[nodiscard]] const tsdb::TimeSeriesDb& db() const { return db_; }
 
  private:
-  /// Index of the rule matching `q` exactly (same source, same aggregate on
-  /// every selector, same window, window-aligned time bounds), or -1.
-  [[nodiscard]] int match_rule(const Query& q) const;
-
-  /// Answers `q` from the rule's target series; nullopt forces the raw
-  /// fallback (target missing/empty or a window holds multiple tag sets).
-  [[nodiscard]] std::optional<tsdb::QueryResult> run_pushdown(
-      const Query& q, const DownsampleRule& rule) const;
-
-  Status materialize(const DownsampleRule& rule);
-
   tsdb::TimeSeriesDb& db_;
-  EngineOptions options_;
 
-  mutable std::mutex mutex_;  ///< guards cache_, stats_, rules_
+  mutable std::mutex mutex_;  ///< guards cache_, stats_
   ResultCache cache_;
   EngineStats stats_;
-  std::vector<DownsampleRule> rules_;
 
   // pmove_query self-telemetry (instance "engine"); per-engine stats_ stays
   // the authoritative per-instance snapshot.
@@ -128,8 +73,6 @@ class QueryEngine {
   metrics::Counter* m_cache_hits_;
   metrics::Counter* m_cache_misses_;
   metrics::Counter* m_cache_evictions_;
-  metrics::Counter* m_pushdown_hits_;
-  metrics::Counter* m_pushdown_fallbacks_;
 };
 
 }  // namespace pmove::query

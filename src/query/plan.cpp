@@ -1081,37 +1081,4 @@ Expected<tsdb::QueryResult> run(const tsdb::TimeSeriesDb& db,
   return run(db, parsed.value());
 }
 
-Expected<tsdb::QueryResult> run_sharded(
-    const std::vector<const tsdb::TimeSeriesDb*>& shards, const Query& q) {
-  bool found = false;
-  std::vector<tsdb::Point> matches;
-  for (const tsdb::TimeSeriesDb* shard : shards) {
-    if (shard == nullptr || !shard->has_measurement(q.measurement)) continue;
-    found = true;
-    auto part =
-        shard->collect(q.measurement, q.time_min, q.time_max, q.tag_filters);
-    matches.insert(matches.end(), std::make_move_iterator(part.begin()),
-                   std::make_move_iterator(part.end()));
-  }
-  if (!found) {
-    return Status::not_found("measurement not found: " + q.measurement);
-  }
-  // Each shard slice is time-ordered; the union is not.  Stable sort keeps
-  // shard-internal arrival order among equal timestamps.
-  std::stable_sort(
-      matches.begin(), matches.end(),
-      [](const tsdb::Point& a, const tsdb::Point& b) {
-        return a.time < b.time;
-      });
-  return execute(make_plan(q), matches);
-}
-
-Expected<tsdb::QueryResult> run_sharded(
-    const std::vector<const tsdb::TimeSeriesDb*>& shards,
-    std::string_view text) {
-  auto parsed = Query::parse(text);
-  if (!parsed) return parsed.status();
-  return run_sharded(shards, parsed.value());
-}
-
 }  // namespace pmove::query

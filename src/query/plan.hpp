@@ -2,11 +2,12 @@
 //
 // `make_plan` turns a typed Query into a Plan: the execution strategy
 // (raw scan / single aggregate row / grouped aggregation) plus the
-// canonical cache key.  `execute` evaluates a plan over the matching
-// points; it is the one evaluator shared by the single-DB path, the
-// sharded path, the QueryEngine's cached path, and downsample
-// materialization — which is what makes pushdown answers bit-for-bit
-// identical to raw scans.
+// canonical cache key.  `execute_columnar` evaluates a plan over a scan's
+// series views; `query::run` wraps it for one DB and is the single-node
+// read path, called directly or through the QueryEngine's result cache.
+// `execute` evaluates the same plan over Point rows (the fleet's exact
+// gather) and is bit-for-bit identical to the columnar evaluator over the
+// same rows.
 //
 // Data-dependent validation (SELECT * resolution, the raw/aggregate mixing
 // rules) happens inside execute(), exactly where the seed's monolithic
@@ -52,8 +53,8 @@ double aggregate(Aggregate agg, std::span<const double> values,
                  std::span<const TimeNs> times);
 
 /// Evaluates a plan over the matching points (already tag/time-filtered
-/// and in time order).  The sharded merge path and legacy callers; the
-/// single-DB path uses execute_columnar.
+/// and in time order).  The fleet's exact gather and the storage bench's
+/// row-store reference; the single-DB path uses execute_columnar.
 Expected<tsdb::QueryResult> execute(const Plan& plan,
                                     const std::vector<tsdb::Point>& matches);
 
@@ -86,20 +87,12 @@ Expected<tsdb::QueryResult> execute_columnar(
     const Plan& plan, std::span<const tsdb::SeriesView> views,
     const ExecOptions& opts);
 
-/// Parse-free typed execution against one DB: collect + execute.  This is
-/// the uncached read path the deprecated TimeSeriesDb::query() wraps.
+/// Parse-free typed execution against one DB: scan + execute_columnar.
+/// The single-node read path; QueryEngine::run puts its cache in front.
 Expected<tsdb::QueryResult> run(const tsdb::TimeSeriesDb& db, const Query& q);
 Expected<tsdb::QueryResult> run(const tsdb::TimeSeriesDb& db, const Query& q,
                                 const ExecOptions& opts);
 Expected<tsdb::QueryResult> run(const tsdb::TimeSeriesDb& db,
                                 std::string_view text);
-
-/// Typed execution across shard DBs, merged in time order so results are
-/// identical to a single-DB query over the union.
-Expected<tsdb::QueryResult> run_sharded(
-    const std::vector<const tsdb::TimeSeriesDb*>& shards, const Query& q);
-Expected<tsdb::QueryResult> run_sharded(
-    const std::vector<const tsdb::TimeSeriesDb*>& shards,
-    std::string_view text);
 
 }  // namespace pmove::query

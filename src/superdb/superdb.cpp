@@ -125,40 +125,6 @@ Status SuperDb::report_observation_agg(
   return id ? Status::ok() : id.status();
 }
 
-Status SuperDb::report_observation_agg_precomputed(
-    const kb::KnowledgeBase& knowledge_base,
-    const ingest::IngestEngine& engine,
-    const kb::ObservationInterface& observation) {
-  (void)knowledge_base;  // reserved: future linkage checks against the KB
-  json::Value doc = observation.to_json();
-  doc.as_object().set("@type", "AGGObservationInterface");
-  doc.as_object().set("@id", observation.id + ":agg");
-  json::Object aggregates;
-  for (const auto& metric : observation.metrics) {
-    // The ingest tier maintained these totals incrementally while points
-    // streamed in — no raw rescan, unlike aggregate_field().
-    auto totals = engine.series_aggregates(metric.db_name, observation.tag);
-    json::Object per_field;
-    for (const auto& field : metric.fields) {
-      json::Object agg;
-      auto it = totals.find(field);
-      if (it != totals.end() && it->second.count > 0) {
-        agg.set("min", it->second.min);
-        agg.set("max", it->second.max);
-        agg.set("mean", it->second.mean());
-        if (it->second.count > 1) agg.set("stddev", it->second.stddev());
-        agg.set("sum", it->second.sum);
-        agg.set("count", static_cast<double>(it->second.count));
-      }
-      per_field.set(field, std::move(agg));
-    }
-    aggregates.set(metric.db_name, std::move(per_field));
-  }
-  doc.as_object().set("aggregates", std::move(aggregates));
-  auto id = docs_.upsert("agg_observations", std::move(doc));
-  return id ? Status::ok() : id.status();
-}
-
 std::vector<std::string> SuperDb::systems() const {
   std::vector<std::string> hosts;
   for (const auto& doc : docs_.all("systems")) {

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "docdb/store.hpp"
-#include "ingest/engine.hpp"
 #include "json/value.hpp"
 #include "kb/kb.hpp"
 #include "tsdb/db.hpp"
@@ -39,14 +38,6 @@ class SuperDb {
   Status report_observation_agg(const kb::KnowledgeBase& knowledge_base,
                                 const tsdb::TimeSeriesDb& local_db,
                                 const kb::ObservationInterface& observation);
-
-  /// AGGObservationInterface from the ingest tier's incrementally maintained
-  /// aggregates: no raw-point rescan, same document shape as
-  /// report_observation_agg.
-  Status report_observation_agg_precomputed(
-      const kb::KnowledgeBase& knowledge_base,
-      const ingest::IngestEngine& engine,
-      const kb::ObservationInterface& observation);
 
   /// Uploads a fleet-health snapshot (one document per report, collection
   /// "fleet").  json-typed on purpose: superdb sits below the fleet tier,

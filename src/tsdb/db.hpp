@@ -35,8 +35,8 @@
 // its invalidation on.
 //
 // The query front end lives in src/query (parse → plan → execute, result
-// cache, downsample pushdown); this class stores runs and hands out views
-// (scan) or filtered copies (collect).
+// cache); this class stores runs and hands out views (scan) or filtered
+// copies (collect).
 #pragma once
 
 #include <atomic>

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -11,7 +13,6 @@
 #include <vector>
 
 #include "fault/fault.hpp"
-#include "ingest/aggregate.hpp"
 #include "ingest/engine.hpp"
 #include "ingest/ring_buffer.hpp"
 #include "ingest/wal.hpp"
@@ -167,6 +168,43 @@ TEST(IngestEngineTest, ShardedQueryMatchesSingleDb) {
     }
   }
   engine.close();
+
+  // Timestamp ties: three series at one timestamp, arriving h2, h0, h1.
+  // The sum is order-sensitive (1 + 1e16 - 1e16 is 0, 1e16 - 1e16 + 1 is
+  // 1), so the engine must fold them in arrival order, as one DB does —
+  // whatever shards the series route to.
+  const auto host_point = [](std::string host, double value) {
+    tsdb::Point p = make_point("m", 1000, value);
+    p.tags["host"] = std::move(host);
+    return p;
+  };
+  const std::vector<tsdb::Point> arrivals = {host_point("h2", 1.0),
+                                             host_point("h0", 1e16),
+                                             host_point("h1", -1e16)};
+  const char* sum_query = "SELECT sum(\"value\") FROM \"m\"";
+  tsdb::TimeSeriesDb tie_reference;
+  for (const tsdb::Point& p : arrivals) {
+    ASSERT_TRUE(tie_reference.write(p).is_ok());
+  }
+  auto expected = pmove::query::run(tie_reference, sum_query);
+  ASSERT_TRUE(expected.has_value());
+  ASSERT_EQ(expected->rows[0][1], 0.0);
+  for (int shards = 1; shards <= 8; ++shards) {
+    IngestOptions tie_options;
+    tie_options.shard_count = shards;
+    IngestEngine tie_engine(tie_options);
+    ASSERT_TRUE(tie_engine.open().is_ok());
+    for (const tsdb::Point& p : arrivals) {
+      ASSERT_TRUE(tie_engine.submit({p}).is_ok());
+      ASSERT_TRUE(tie_engine.flush().is_ok());
+    }
+    auto got = tie_engine.query(sum_query);
+    ASSERT_TRUE(got.has_value()) << shards << " shards";
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got->rows[0][1]),
+              std::bit_cast<std::uint64_t>(expected->rows[0][1]))
+        << shards << " shards: sum " << got->rows[0][1];
+    tie_engine.close();
+  }
 }
 
 // --------------------------------------------------------------------- WAL
@@ -391,11 +429,10 @@ TEST(IngestEngineTest, CheckpointSnapshotsAndRecoveryAvoidsDuplicates) {
     }
     ASSERT_TRUE(engine.checkpoint().is_ok());
     EXPECT_EQ(engine.stats().checkpoints, 1u);
-    // The log is truncated down to one fresh, empty segment; the snapshots
-    // carry the 10 points.
+    // The log is truncated down to one fresh, empty segment; the snapshot
+    // carries the 10 points.
     EXPECT_EQ(engine.wal().segment_count(), 1u);
-    EXPECT_TRUE(fs::exists(fs::path(dir.path) / "checkpoint-shard0.lp") ||
-                fs::exists(fs::path(dir.path) / "checkpoint-shard1.lp"));
+    EXPECT_TRUE(fs::exists(fs::path(dir.path) / "checkpoint.lp"));
     // More traffic after the checkpoint lands only in the fresh log.
     for (int b = 10; b < 14; ++b) {
       ASSERT_TRUE(engine
@@ -694,7 +731,7 @@ TEST(IngestEngineTest, ContinuousQueryDownsamplesWithoutRescan) {
   IngestEngine engine(options);
   ContinuousQuery cq;
   cq.source_measurement = "cycles";
-  cq.aggregate = "mean";
+  cq.aggregate = pmove::query::Aggregate::kMean;
   cq.window_ns = kNsPerSec;
   ASSERT_TRUE(engine.register_continuous_query(std::move(cq)).is_ok());
   ASSERT_TRUE(engine.open().is_ok());
@@ -726,30 +763,53 @@ TEST(IngestEngineTest, ContinuousQueryDownsamplesWithoutRescan) {
   engine.close();
 }
 
-TEST(IngestEngineTest, SeriesAggregatesMatchQueriedStats) {
+TEST(IngestEngineTest, ContinuousStddevMatchesGroupedQuery) {
+  // A large mean next to a small spread: the one-pass Σv² − (Σv)²/n
+  // cancels to 111.05 here; the evaluator's two-pass stddev is 0.817.
   IngestOptions options;
-  options.shard_count = 4;
+  options.shard_count = 2;
   IngestEngine engine(options);
+  ContinuousQuery cq;
+  cq.source_measurement = "cycles";
+  cq.aggregate = pmove::query::Aggregate::kStddev;
+  cq.window_ns = kNsPerSec;
+  ASSERT_TRUE(engine.register_continuous_query(std::move(cq)).is_ok());
   ASSERT_TRUE(engine.open().is_ok());
-  for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(engine
-                    .write(make_point("cycles", i * 10,
-                                      static_cast<double>(i), "obs1"))
-                    .is_ok());
+  std::vector<tsdb::Point> batch;
+  for (int i = 0; i < 1000; ++i) {
+    batch.push_back(make_point("cycles", i * 1000,
+                               1e9 + static_cast<double>(i % 3), "job1"));
   }
-  ASSERT_TRUE(engine.flush().is_ok());
-  auto aggregates = engine.series_aggregates("cycles", "obs1");
-  ASSERT_EQ(aggregates.count("value"), 1u);
-  const FieldAggregate& agg = aggregates.at("value");
-  EXPECT_EQ(agg.count, 100u);
-  EXPECT_DOUBLE_EQ(agg.min, 0.0);
-  EXPECT_DOUBLE_EQ(agg.max, 99.0);
-  EXPECT_DOUBLE_EQ(agg.mean(), 49.5);
-  auto queried =
-      engine.query("SELECT stddev(\"value\") FROM \"cycles\"");
-  ASSERT_TRUE(queried.has_value());
-  EXPECT_NEAR(agg.stddev(), queried->rows[0][1], 1e-9);
+  ASSERT_TRUE(engine.submit(std::move(batch)).is_ok());
+  ASSERT_TRUE(engine.close_windows(kNsPerSec).is_ok());
+  auto rolled = engine.query("SELECT * FROM \"cycles_stddev_1000000000ns\"");
+  auto grouped = engine.query(
+      "SELECT stddev(\"value\") FROM \"cycles\" WHERE time >= 0 AND "
+      "time <= 999999999 GROUP BY time(1s)");
+  ASSERT_TRUE(rolled.has_value());
+  ASSERT_TRUE(grouped.has_value());
+  ASSERT_EQ(rolled->rows.size(), 1u);
+  ASSERT_EQ(grouped->rows.size(), 1u);
+  const double want = grouped->rows[0][1];
+  EXPECT_NEAR(want, 0.817, 1e-3);
+  EXPECT_NEAR(rolled->rows[0][1], want, 1e-9 * want);
   engine.close();
+}
+
+TEST(IngestEngineTest, ContinuousQueryRejectsNoneFirstAndLast) {
+  IngestEngine engine(IngestOptions{});
+  ContinuousQuery cq;
+  cq.source_measurement = "cycles";
+  for (pmove::query::Aggregate agg :
+       {pmove::query::Aggregate::kNone, pmove::query::Aggregate::kFirst,
+        pmove::query::Aggregate::kLast}) {
+    cq.aggregate = agg;
+    const Status s = engine.register_continuous_query(cq);
+    EXPECT_EQ(s.code(), ErrorCode::kInvalidArgument);
+    EXPECT_NE(s.message().find("unsupported aggregate"), std::string::npos);
+  }
+  cq.aggregate = pmove::query::Aggregate::kCount;
+  EXPECT_TRUE(engine.register_continuous_query(cq).is_ok());
 }
 
 // ------------------------------------------------ adaptive sink deadlines

@@ -1,6 +1,6 @@
 // Tests for the read-path query module: typed AST + parser, plan/execute,
-// the engine's epoch-keyed result cache, downsample pushdown, and the
-// PointSink write-path unification.
+// the engine's epoch-keyed result cache, and the PointSink write-path
+// unification.
 #include <atomic>
 #include <bit>
 #include <cmath>
@@ -35,14 +35,13 @@ tsdb::Point make_point(std::string measurement, TimeNs t, double cpu0,
 
 /// 10 points, t = 0..900ns, values chosen so every aggregate is
 /// non-trivial (irrational-ish doubles exercise bit-for-bit comparisons).
-void fill_kernel_series(tsdb::TimeSeriesDb& db, std::string_view tag = "run-a") {
+void fill_kernel_series(tsdb::TimeSeriesDb& db) {
   std::vector<tsdb::Point> batch;
   for (int i = 0; i < 10; ++i) {
     batch.push_back(make_point("kernel_percpu_cpu_idle",
                                static_cast<TimeNs>(i) * 100,
                                std::sqrt(2.0) * i + 0.1,
-                               std::atan(1.0) * (9 - i) + 0.3,
-                               std::string(tag)));
+                               std::atan(1.0) * (9 - i) + 0.3));
   }
   ASSERT_TRUE(db.write_batch(std::move(batch)).is_ok());
 }
@@ -339,140 +338,6 @@ TEST(QueryEngineCache, CapacityZeroDisablesCaching) {
   ASSERT_TRUE(engine.run(q).has_value());
   ASSERT_TRUE(engine.run(q).has_value());
   EXPECT_EQ(engine.stats().cache_hits, 0u);
-}
-
-// --------------------------------------------------------------- pushdown
-
-class PushdownTest : public ::testing::Test {
- protected:
-  void SetUp() override { fill_kernel_series(db_); }
-
-  Query grouped_query(Aggregate agg) {
-    return QueryBuilder("kernel_percpu_cpu_idle")
-        .select(agg, "_cpu0")
-        .select(agg, "_cpu1")
-        .group_by_time(250)
-        .build();
-  }
-
-  tsdb::TimeSeriesDb db_;
-};
-
-TEST_F(PushdownTest, MatchesRawScanBitForBitOnEveryAggregate) {
-  const Aggregate aggs[] = {Aggregate::kMean,   Aggregate::kMin,
-                            Aggregate::kMax,    Aggregate::kSum,
-                            Aggregate::kCount,  Aggregate::kStddev,
-                            Aggregate::kFirst,  Aggregate::kLast};
-  for (Aggregate agg : aggs) {
-    QueryEngine engine(db_);
-    DownsampleRule rule;
-    rule.source_measurement = "kernel_percpu_cpu_idle";
-    rule.aggregate = agg;
-    rule.window_ns = 250;
-    ASSERT_TRUE(engine.register_downsample(rule).is_ok());
-    ASSERT_TRUE(engine.materialize_downsamples().is_ok());
-
-    const Query q = grouped_query(agg);
-    auto raw = run(db_, q);  // uncached, unpushed reference
-    auto pushed = engine.run(q);
-    ASSERT_TRUE(raw.has_value());
-    ASSERT_TRUE(pushed.has_value());
-    EXPECT_EQ(engine.stats().pushdown_hits, 1u)
-        << "aggregate " << to_string(agg);
-    EXPECT_EQ(raw->columns, pushed->columns);
-    ASSERT_EQ(raw->rows.size(), pushed->rows.size());
-    for (std::size_t r = 0; r < raw->rows.size(); ++r) {
-      ASSERT_EQ(raw->rows[r].size(), pushed->rows[r].size());
-      for (std::size_t c = 0; c < raw->rows[r].size(); ++c) {
-        // Exact equality, not near: the engine materializes with the same
-        // evaluator over values in the same order.
-        EXPECT_EQ(raw->rows[r][c], pushed->rows[r][c])
-            << to_string(agg) << " row " << r << " col " << c;
-      }
-    }
-  }
-}
-
-TEST_F(PushdownTest, TagFilteredQueryIsServedFromTarget) {
-  QueryEngine engine(db_);
-  DownsampleRule rule;
-  rule.source_measurement = "kernel_percpu_cpu_idle";
-  rule.aggregate = Aggregate::kMean;
-  rule.window_ns = 250;
-  ASSERT_TRUE(engine.register_downsample(rule).is_ok());
-  ASSERT_TRUE(engine.materialize_downsamples().is_ok());
-
-  Query q = grouped_query(Aggregate::kMean);
-  q.tag_filters["tag"] = "run-a";
-  auto raw = run(db_, q);
-  auto pushed = engine.run(q);
-  ASSERT_TRUE(raw.has_value());
-  ASSERT_TRUE(pushed.has_value());
-  EXPECT_EQ(engine.stats().pushdown_hits, 1u);
-  EXPECT_EQ(raw->rows, pushed->rows);
-}
-
-TEST_F(PushdownTest, MultipleTagSetsPerWindowFallBackToRawScan) {
-  // A second tag set in the same windows: raw evaluation merges both into
-  // one bucket row, the target holds them separately — pushdown must bow
-  // out rather than return different rows.
-  fill_kernel_series(db_, "run-b");
-  QueryEngine engine(db_);
-  DownsampleRule rule;
-  rule.source_measurement = "kernel_percpu_cpu_idle";
-  rule.aggregate = Aggregate::kMean;
-  rule.window_ns = 250;
-  ASSERT_TRUE(engine.register_downsample(rule).is_ok());
-  ASSERT_TRUE(engine.materialize_downsamples().is_ok());
-
-  const Query q = grouped_query(Aggregate::kMean);
-  auto raw = run(db_, q);
-  auto answered = engine.run(q);
-  ASSERT_TRUE(raw.has_value());
-  ASSERT_TRUE(answered.has_value());
-  EXPECT_EQ(engine.stats().pushdown_fallbacks, 1u);
-  EXPECT_EQ(engine.stats().pushdown_hits, 0u);
-  EXPECT_EQ(raw->rows, answered->rows);
-}
-
-TEST_F(PushdownTest, MisalignedTimeBoundsScanRaw) {
-  QueryEngine engine(db_);
-  DownsampleRule rule;
-  rule.source_measurement = "kernel_percpu_cpu_idle";
-  rule.aggregate = Aggregate::kMean;
-  rule.window_ns = 250;
-  ASSERT_TRUE(engine.register_downsample(rule).is_ok());
-  ASSERT_TRUE(engine.materialize_downsamples().is_ok());
-
-  Query q = grouped_query(Aggregate::kMean);
-  q.time_min = 100;  // not a multiple of the window
-  auto raw = run(db_, q);
-  auto answered = engine.run(q);
-  ASSERT_TRUE(raw.has_value());
-  ASSERT_TRUE(answered.has_value());
-  EXPECT_EQ(engine.stats().pushdown_hits, 0u);
-  EXPECT_EQ(engine.stats().pushdown_fallbacks, 0u);  // not even eligible
-  EXPECT_EQ(raw->rows, answered->rows);
-}
-
-TEST(QueryEngineRules, RegistrationValidatesAndDefaultsTarget) {
-  tsdb::TimeSeriesDb db;
-  QueryEngine engine(db);
-  DownsampleRule rule;
-  EXPECT_FALSE(engine.register_downsample(rule).is_ok());  // no source
-  rule.source_measurement = "m";
-  rule.aggregate = Aggregate::kNone;
-  EXPECT_FALSE(engine.register_downsample(rule).is_ok());  // no aggregate
-  rule.aggregate = Aggregate::kMean;
-  rule.window_ns = 0;
-  EXPECT_FALSE(engine.register_downsample(rule).is_ok());  // no window
-  rule.window_ns = 1000;
-  ASSERT_TRUE(engine.register_downsample(rule).is_ok());
-  auto rules = engine.downsamples();
-  ASSERT_EQ(rules.size(), 1u);
-  EXPECT_EQ(rules[0].target_measurement, "m_mean_1000ns");
-  EXPECT_EQ(engine.register_downsample(rule).code(),
-            ErrorCode::kAlreadyExists);
 }
 
 // ------------------------------------------------------------ concurrency

@@ -215,36 +215,6 @@ TEST(DbTest, WriteBatchRejectsAtomically) {
   EXPECT_EQ(db.point_count(), 0u);
 }
 
-TEST(DbTest, QueryShardedMergesLikeOneDb) {
-  TimeSeriesDb all;
-  TimeSeriesDb shard_a;
-  TimeSeriesDb shard_b;
-  for (int i = 0; i < 60; ++i) {
-    Point p = make_point("m", i * 10, static_cast<double>(i % 7),
-                         i % 2 == 0 ? "even" : "odd");
-    ASSERT_TRUE(all.write(p).is_ok());
-    ASSERT_TRUE((i % 2 == 0 ? shard_a : shard_b).write(p).is_ok());
-  }
-  for (const char* text :
-       {"SELECT * FROM \"m\"", "SELECT mean(\"value\") FROM \"m\"",
-        "SELECT count(\"value\") FROM \"m\" WHERE tag=\"odd\""}) {
-    auto merged = query::run_sharded({&shard_a, &shard_b}, text);
-    auto single = query::run(all, text);
-    ASSERT_TRUE(merged.has_value()) << text;
-    ASSERT_TRUE(single.has_value()) << text;
-    ASSERT_EQ(merged->rows.size(), single->rows.size()) << text;
-    for (std::size_t r = 0; r < single->rows.size(); ++r) {
-      for (std::size_t c = 0; c < single->rows[r].size(); ++c) {
-        EXPECT_DOUBLE_EQ(merged->rows[r][c], single->rows[r][c]) << text;
-      }
-    }
-  }
-  // Unknown measurements still signal not_found across shards.
-  EXPECT_FALSE(
-      query::run_sharded({&shard_a, &shard_b}, "SELECT * FROM \"nope\"")
-          .has_value());
-}
-
 // ----------------------------------------------------------------- queries
 
 class QueryTest : public ::testing::Test {
