@@ -1,8 +1,11 @@
 #include "core/daemon.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
+#include <initializer_list>
+#include <utility>
 
 #include "carm/microbench.hpp"
 #include "fault/fault.hpp"
@@ -137,9 +140,6 @@ Daemon::Daemon(DaemonConfig config)
     docs_.write_breaker().reset();
     return Status::ok();
   });
-  // Storage-engine gauges (series/points/dictionary/column bytes) land in
-  // the registry as pmove_tsdb{instance="db"} and ride publish_internals.
-  ts_.set_telemetry_instance("db");
 }
 
 Status Daemon::enable_ingest() {
@@ -225,6 +225,63 @@ void Daemon::register_internals_observation() {
     observation.metrics.push_back(std::move(metric));
   }
   kb_->attach_observation(std::move(observation));
+}
+
+Status Daemon::publish_internals(TimeNs now) {
+  // The registry is process-wide; setting this daemon's values right
+  // before the snapshot makes this export carry them.
+  using Fields = std::initializer_list<std::pair<const char*, std::uint64_t>>;
+  metrics::Registry& reg = metrics::Registry::global();
+  const auto set = [&reg](const char* measurement, const char* instance,
+                          Fields fields) {
+    for (const auto& [field, value] : fields) {
+      reg.gauge(measurement, instance, field).set(static_cast<double>(value));
+    }
+  };
+  const tsdb::TsdbStats db = ts_.stats();
+  set(metrics::kMeasurementTsdb, "db",
+      {{"series", db.series},
+       {"points", db.points},
+       {"dict_strings", db.dict_strings},
+       {"dict_bytes", db.dict_bytes},
+       {"column_bytes", db.column_bytes},
+       {"sealed_runs", db.sealed_runs},
+       {"run_seals", db.run_seals},
+       {"run_folds", db.run_folds},
+       {"compressed_runs", db.compressed_runs},
+       {"bytes_raw", db.bytes_raw},
+       {"bytes_packed", db.bytes_packed},
+       {"pack_time_ns", db.pack_time_ns},
+       {"index_postings", db.index_postings},
+       {"index_probes", db.index_probes},
+       {"index_scans", db.index_scans},
+       {"index_fallbacks", db.index_fallbacks}});
+  if (ingest_ != nullptr) {
+    const ingest::IngestStats in = ingest_->stats();
+    set(metrics::kMeasurementIngest, "engine",
+        {{"submitted_points", in.submitted_points},
+         {"inserted_points", in.inserted_points},
+         {"dropped_points", in.dropped_points},
+         {"spilled_points", in.spilled_points},
+         {"blocked_submits", in.blocked_submits},
+         {"parked_points", in.parked_points},
+         {"replayed_points", in.replayed_points},
+         {"abandoned_points", in.abandoned_points},
+         {"recovered_points", in.recovered_points},
+         {"sink_failures", in.sink_failures},
+         {"wal_failures", in.wal_failures}});
+  }
+  const query::EngineStats q = engine_.stats();
+  set(metrics::kMeasurementQuery, "engine",
+      {{"queries", q.queries},
+       {"cache_hits", q.cache_hits},
+       {"cache_misses", q.cache_misses},
+       {"cache_evictions", q.cache_evictions}});
+  return exporter_.export_once(now);
+}
+
+Status Daemon::publish_internals_if_due(TimeNs now) {
+  return exporter_.due(now) ? publish_internals(now) : Status::ok();
 }
 
 Expected<int> Daemon::run_benchmark(std::string_view name) {
@@ -392,11 +449,10 @@ Expected<Daemon::ScenarioAResult> Daemon::run_scenario_a(double frequency_hz,
   result.stats = sampler::run_sampling_session(kb_->machine(), session, sink);
   if (ingest_ != nullptr) {
     if (Status s = ingest_->flush(); !s.is_ok()) return s;
-    (void)ingest_->publish_self_telemetry(from_seconds(duration_s));
-    if (Status s = ingest_->flush(); !s.is_ok()) return s;
   }
-  // Registry snapshot (breaker/WAL/query/health counters) alongside the
-  // session's own telemetry, so internals dashboards have data to render.
+  // Self-telemetry (storage, ingest, query, breaker, WAL and health
+  // numbers) alongside the session's data, so internals dashboards have
+  // data to render.
   (void)publish_internals(from_seconds(duration_s));
 
   // Health verdict for the sampling tier; a session that delivered nothing

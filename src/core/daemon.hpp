@@ -106,8 +106,8 @@ class Daemon {
 
   /// Puts the ingest tier (config().ingest) in front of the daemon's TSDB:
   /// Scenario A sessions then submit batches through its sharded queues and
-  /// WAL instead of writing points one by one, and each session's ingestion
-  /// self-telemetry lands in the "pmove_ingest" measurement.  Idempotent.
+  /// WAL instead of writing points one by one, and publish_internals exports
+  /// the engine's stats() as pmove_ingest{instance=engine}.  Idempotent.
   Status enable_ingest();
   [[nodiscard]] bool ingest_enabled() const { return ingest_ != nullptr; }
   [[nodiscard]] ingest::IngestEngine* ingest() { return ingest_.get(); }
@@ -179,16 +179,17 @@ class Daemon {
   }
 
   // ----------------------------------------------------- self-telemetry
-  /// Snapshots the process-wide metrics registry (breaker states, WAL and
-  /// ingest counters, query-cache hits, ...) and writes the pmove_*
-  /// measurements into the TSDB, stamped `now`.  The "P-MoVE internals"
-  /// dashboard (ViewBuilder::internals_view) reads these series.
-  Status publish_internals(TimeNs now) { return exporter_.export_once(now); }
+  /// Reads this daemon's store, query engine and (when enabled) ingest
+  /// engine through their stats() into the pmove_tsdb{instance=db},
+  /// pmove_query{instance=engine} and pmove_ingest{instance=engine} gauges,
+  /// then snapshots the process-wide metrics registry (those gauges plus
+  /// breaker states, WAL and per-shard ingest counters, ...) and writes the
+  /// pmove_* measurements into the TSDB, stamped `now`.  The "P-MoVE
+  /// internals" dashboard (ViewBuilder::internals_view) reads these series.
+  Status publish_internals(TimeNs now);
   /// Cadence-gated variant for periodic callers (`pmove metrics --watch`,
-  /// the supervisor loop).
-  Status publish_internals_if_due(TimeNs now) {
-    return exporter_.export_if_due(now);
-  }
+  /// the supervisor loop): reads and exports only when an export is due.
+  Status publish_internals_if_due(TimeNs now);
   [[nodiscard]] metrics::MetricsExporter& metrics_exporter() {
     return exporter_;
   }

@@ -5,8 +5,6 @@
 #include <limits>
 #include <utility>
 
-#include "metrics/names.hpp"
-#include "metrics/registry.hpp"
 #include "util/log.hpp"
 #include "util/strings.hpp"
 
@@ -280,28 +278,6 @@ std::string Fleet::render_health(TimeNs now) const {
 
 HealthState Fleet::overall(TimeNs now) const {
   return gossip_.head_table().overall(now, gossip_.suspect_after_ns());
-}
-
-void Fleet::publish_self_telemetry(TimeNs now) {
-  auto& registry = metrics::Registry::global();
-  registry.gauge(metrics::kMeasurementFleet, "fleet", "nodes")
-      .set(static_cast<double>(nodes_.size()));
-  registry.gauge(metrics::kMeasurementFleet, "fleet", "points")
-      .set(static_cast<double>(point_count()));
-  std::size_t alive = 0;
-  const auto& table = gossip_.head_table();
-  for (const auto& [name, node] : nodes_) {
-    if (table.liveness(name, now, gossip_.suspect_after_ns()) ==
-        NodeLiveness::kAlive) {
-      ++alive;
-    }
-  }
-  registry.gauge(metrics::kMeasurementFleet, "fleet", "alive_nodes")
-      .set(static_cast<double>(alive));
-  registry.gauge(metrics::kMeasurementFleet, "fleet", "suspected_nodes")
-      .set(static_cast<double>(nodes_.size() - alive));
-  registry.gauge(metrics::kMeasurementFleet, "fleet", metrics::kFieldState)
-      .set(static_cast<double>(overall(now)));
 }
 
 Status Fleet::kill_node(const std::string& name) {

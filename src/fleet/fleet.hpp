@@ -118,9 +118,6 @@ class Fleet {
   /// Worst state across the fleet as the head sees it (suspected = failed).
   [[nodiscard]] HealthState overall(TimeNs now) const;
 
-  /// Refreshes the pmove_fleet gauges (node/liveness/point counts).
-  void publish_self_telemetry(TimeNs now);
-
   // ------------------------------------------- seams for tests and chaos
   /// Kills a node in whichever transport is active: wire mode stops its
   /// server (connections die, reconnects are refused) and flips the down

@@ -15,7 +15,6 @@ namespace pmove::ingest {
 namespace {
 
 constexpr std::int64_t kWorkerIdleNs = 50'000'000;  // spill-drain cadence
-constexpr char kKeySep = '\x1f';
 /// Checkpoint snapshot of the engine's store, relative to the WAL dir.
 constexpr char kSnapshotFile[] = "/checkpoint.lp";
 
@@ -25,27 +24,6 @@ std::uint64_t fnv1a(std::uint64_t hash, std::string_view data) {
     hash *= 1099511628211ULL;
   }
   return hash;
-}
-
-std::string window_key(std::size_t rule_index, const tsdb::Point& point,
-                       TimeNs window_start) {
-  std::string key = std::to_string(rule_index);
-  key += kKeySep;
-  for (const auto& [k, v] : point.tags) {
-    key += k;
-    key += '=';
-    key += v;
-    key += ',';
-  }
-  key += kKeySep;
-  key += std::to_string(window_start);
-  return key;
-}
-
-TimeNs window_floor(TimeNs t, TimeNs window) {
-  TimeNs start = t / window * window;
-  if (t < 0 && t % window != 0) start -= window;
-  return start;
 }
 
 }  // namespace
@@ -90,17 +68,6 @@ IngestEngine::IngestEngine(IngestOptions options,
   }
   metrics::Registry& reg = metrics::Registry::global();
   const char* m = metrics::kMeasurementIngest;
-  m_submitted_ = &reg.counter(m, "engine", "submitted_points");
-  m_inserted_ = &reg.counter(m, "engine", "inserted_points");
-  m_dropped_ = &reg.counter(m, "engine", "dropped_points");
-  m_spilled_ = &reg.counter(m, "engine", "spilled_points");
-  m_blocked_ = &reg.counter(m, "engine", "blocked_submits");
-  m_parked_ = &reg.counter(m, "engine", "parked_points");
-  m_replayed_ = &reg.counter(m, "engine", "replayed_points");
-  m_abandoned_ = &reg.counter(m, "engine", "abandoned_points");
-  m_recovered_ = &reg.counter(m, "engine", "recovered_points");
-  m_sink_failures_ = &reg.counter(m, "engine", "sink_failures");
-  m_wal_failures_ = &reg.counter(m, "engine", "wal_failures");
   for (int i = 0; i < options_.shard_count; ++i) {
     auto shard = std::make_unique<Shard>(options_.queue_capacity);
     shard->breaker = std::make_unique<CircuitBreaker>(
@@ -134,8 +101,7 @@ Status IngestEngine::open() {
     // The checkpoint snapshot holds everything that was truncated out of
     // the log; the log holds only post-checkpoint records, so loading the
     // snapshot first and then replaying reproduces the full state with no
-    // duplicates.  Continuous-query windows are rebuilt only from the
-    // replayed tail — checkpointed history feeds storage, not windows.
+    // duplicates.
     if (Status s = load_snapshot(); !s.is_ok()) return s;
     // Recovery: re-ingest every surviving batch synchronously (workers are
     // not running yet).  The records stay in the WAL — the in-memory DB is
@@ -157,18 +123,6 @@ Status IngestEngine::open() {
       }
       if (batch.empty()) return Status::ok();
       recovered_points_ += batch.size();
-      m_recovered_->add(batch.size());
-      if (!continuous_.empty()) {
-        // Windows live on the shard a series routes to, so a window the
-        // replay opens is the one live traffic keeps filling.
-        std::vector<Batch> parts(shards_.size());
-        for (const tsdb::Point& p : batch) {
-          parts[static_cast<std::size_t>(shard_of(p))].push_back(p);
-        }
-        for (std::size_t i = 0; i < parts.size(); ++i) {
-          update_aggregates(*shards_[i], parts[i]);
-        }
-      }
       inserted_points_ += batch.size();
       return db_->write_batch(std::move(batch));
     });
@@ -266,7 +220,6 @@ Status IngestEngine::wal_append_batch(const Batch& batch) {
   if (!result.is_ok()) {
     wal_breaker_->record_failure();
     wal_failures_ += 1;
-    m_wal_failures_->inc();
     report_component(wal_healthy_, "ingest.wal", result);
     return result;
   }
@@ -289,7 +242,6 @@ Status IngestEngine::submit_internal(Batch batch, SubmitMode mode,
   }
   submitted_batches_ += 1;
   submitted_points_ += batch.size();
-  m_submitted_->add(batch.size());
 
   // Held (shared) across append + queue hand-off so checkpoint() can never
   // truncate a record whose batch has not reached pending_ yet — the gap
@@ -322,14 +274,12 @@ Status IngestEngine::submit_internal(Batch batch, SubmitMode mode,
                   : BackpressurePolicy::kDrop) {
         case BackpressurePolicy::kBlock:
           blocked_submits_ += 1;
-          m_blocked_->inc();
           accepted = shard.queue.push_wait(std::move(parts[i]), -1);
           break;
         case BackpressurePolicy::kSpill: {
           std::lock_guard<std::mutex> lock(shard.spill_mutex);
           shard.spill.push_back(std::move(parts[i]));
           spilled_points_ += n;
-          m_spilled_->add(n);
           shard.m_spills->add(n);
           accepted = true;
           break;
@@ -337,7 +287,6 @@ Status IngestEngine::submit_internal(Batch batch, SubmitMode mode,
         case BackpressurePolicy::kDrop:
           if (mode == SubmitMode::kTimeout) {
             blocked_submits_ += 1;
-            m_blocked_->inc();
             accepted = shard.queue.push_wait(std::move(parts[i]), timeout_ns);
           }
           break;
@@ -350,7 +299,6 @@ Status IngestEngine::submit_internal(Batch batch, SubmitMode mode,
       }
       pending_cv_.notify_all();
       dropped_points_ += n;
-      m_dropped_->add(n);
       shard.m_drops->add(n);
       result = Status::unavailable("ingest queue full: shard " +
                                    std::to_string(i));
@@ -401,7 +349,6 @@ void IngestEngine::apply_batch(Shard& shard, Batch batch) {
   // parked ones instead of racing a half-open breaker.
   if (!shard.parked.empty()) {
     parked_points_ += batch.size();
-    m_parked_->add(batch.size());
     shard.parked.push_back(std::move(batch));
     return;
   }
@@ -410,7 +357,6 @@ void IngestEngine::apply_batch(Shard& shard, Batch batch) {
     // elevated so flush() blocks until recovery — the outage degrades to
     // latency, not loss.
     parked_points_ += batch.size();
-    m_parked_->add(batch.size());
     shard.parked.push_back(std::move(batch));
     return;
   }
@@ -438,11 +384,9 @@ Status IngestEngine::deliver_batch(Shard& shard, Batch& batch) {
   if (!injected.is_ok()) {
     breaker.record_failure();
     sink_failures_ += 1;
-    m_sink_failures_->inc();
     report_component(shard.healthy, breaker.name(), injected);
     return injected;
   }
-  update_aggregates(shard, batch);
   const std::size_t n = batch.size();
   if (Status s = db_->write_batch(std::move(batch)); !s.is_ok()) {
     // Points were validated at submit, so a refusal here is deterministic
@@ -453,7 +397,6 @@ Status IngestEngine::deliver_batch(Shard& shard, Batch& batch) {
     return Status::ok();
   }
   inserted_points_ += n;
-  m_inserted_->add(n);
   breaker.record_success();
   report_component(shard.healthy, breaker.name(), Status::ok());
   // Only answered deliveries feed the latency estimate: a failed one
@@ -486,7 +429,6 @@ void IngestEngine::drain_parked(Shard& shard) {
     const std::size_t n = front.size();
     if (Status s = deliver_batch(shard, front); !s.is_ok()) break;
     replayed_points_ += n;
-    m_replayed_->add(n);
     shard.m_replays->inc();
     shard.parked.pop_front();
     note_applied(1);
@@ -497,7 +439,6 @@ void IngestEngine::drain_parked(Shard& shard) {
     // were acknowledged against the WAL, so the next open() replays them.
     while (!shard.parked.empty()) {
       abandoned_points_ += shard.parked.front().size();
-      m_abandoned_->add(shard.parked.front().size());
       shard.parked.pop_front();
       note_applied(1);
     }
@@ -514,28 +455,6 @@ void IngestEngine::report_component(std::atomic<bool>& healthy,
     options_.health->report_healthy(name);
   } else {
     options_.health->report_failed(name, status.message());
-  }
-}
-
-void IngestEngine::update_aggregates(Shard& shard, const Batch& batch) {
-  if (continuous_.empty()) return;
-  std::lock_guard<std::mutex> lock(shard.agg_mutex);
-  for (const tsdb::Point& point : batch) {
-    for (std::size_t r = 0; r < continuous_.size(); ++r) {
-      const ContinuousQuery& rule = continuous_[r];
-      if (rule.source_measurement != point.measurement) continue;
-      const TimeNs start = window_floor(point.time, rule.window_ns);
-      WindowState& window = shard.windows[window_key(r, point, start)];
-      if (window.rule == nullptr) {
-        window.rule = &rule;
-        window.measurement = point.measurement;
-        window.tags = point.tags;
-        window.window_start = start;
-      }
-      for (const auto& [field, value] : point.fields) {
-        window.fields[field].add(value);
-      }
-    }
   }
 }
 
@@ -609,66 +528,9 @@ Status IngestEngine::load_snapshot() {
   const std::size_t gained = db_->point_count() - before;
   if (gained > 0) {
     recovered_points_ += gained;
-    m_recovered_->add(gained);
     inserted_points_ += gained;
   }
   return Status::ok();
-}
-
-// ------------------------------------------------------- continuous queries
-
-Status IngestEngine::register_continuous_query(ContinuousQuery cq) {
-  if (running_) {
-    return Status::unsupported(
-        "register continuous queries before open()");
-  }
-  if (cq.source_measurement.empty()) {
-    return Status::invalid_argument("continuous query needs a source");
-  }
-  if (cq.window_ns <= 0) {
-    return Status::invalid_argument("continuous query window must be > 0");
-  }
-  const std::string aggregate(query::to_string(cq.aggregate));
-  // Windows keep no per-value times, so first/last cannot be rolled up.
-  if (cq.aggregate == query::Aggregate::kNone ||
-      cq.aggregate == query::Aggregate::kFirst ||
-      cq.aggregate == query::Aggregate::kLast) {
-    return Status::invalid_argument("unsupported aggregate: " + aggregate);
-  }
-  if (cq.target_measurement.empty()) {
-    cq.target_measurement = cq.source_measurement + "_" + aggregate + "_" +
-                            std::to_string(cq.window_ns) + "ns";
-  }
-  continuous_.push_back(std::move(cq));
-  return Status::ok();
-}
-
-Status IngestEngine::close_windows(TimeNs watermark) {
-  if (Status s = flush(); !s.is_ok()) return s;
-  Batch emitted;
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->agg_mutex);
-    for (auto it = shard->windows.begin(); it != shard->windows.end();) {
-      const WindowState& window = it->second;
-      if (window.window_start + window.rule->window_ns > watermark) {
-        ++it;
-        continue;
-      }
-      tsdb::Point point;
-      point.measurement = window.rule->target_measurement;
-      point.tags = window.tags;
-      point.time = window.window_start;
-      for (const auto& [field, agg] : window.fields) {
-        point.fields[field] = agg.value(window.rule->aggregate);
-      }
-      emitted.push_back(std::move(point));
-      it = shard->windows.erase(it);
-    }
-  }
-  if (emitted.empty()) return Status::ok();
-  downsampled_points_ += emitted.size();
-  // Downsampled points bypass the WAL: they are derivable from the raw log.
-  return db_->write_batch(std::move(emitted));
 }
 
 // ---------------------------------------------------------------- read path
@@ -707,7 +569,6 @@ IngestStats IngestEngine::stats() const {
   s.spilled_points = spilled_points_.load();
   s.blocked_submits = blocked_submits_.load();
   s.recovered_points = recovered_points_.load();
-  s.downsampled_points = downsampled_points_.load();
   s.wal_records = wal_.record_count();
   s.wal_bytes = wal_.bytes_appended();
   s.flushes = flushes_.load();
@@ -725,29 +586,6 @@ IngestStats IngestEngine::stats() const {
                  shard->sink_latency_ns.load(std::memory_order_relaxed));
   }
   return s;
-}
-
-Status IngestEngine::publish_self_telemetry(TimeNs now,
-                                            std::string_view tag) {
-  const IngestStats s = stats();
-  tsdb::Point point;
-  point.measurement = metrics::kMeasurementIngest;
-  point.tags["tier"] = "ingest";
-  if (!tag.empty()) point.tags["tag"] = std::string(tag);
-  point.time = now;
-  point.fields["submitted_points"] =
-      static_cast<double>(s.submitted_points);
-  point.fields["inserted_points"] = static_cast<double>(s.inserted_points);
-  point.fields["dropped_points"] = static_cast<double>(s.dropped_points);
-  point.fields["spilled_points"] = static_cast<double>(s.spilled_points);
-  point.fields["blocked_submits"] = static_cast<double>(s.blocked_submits);
-  point.fields["downsampled_points"] =
-      static_cast<double>(s.downsampled_points);
-  point.fields["wal_records"] = static_cast<double>(s.wal_records);
-  point.fields["max_queue_depth"] = static_cast<double>(s.max_queue_depth);
-  Batch batch;
-  batch.push_back(std::move(point));
-  return submit_internal(std::move(batch), SubmitMode::kNever, -1);
 }
 
 }  // namespace pmove::ingest

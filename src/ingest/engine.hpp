@@ -15,24 +15,20 @@
 //                    instead of unconditional loss;
 //   * durability   — every acknowledged batch is appended to a CRC-checked
 //                    write-ahead log before it is queued; recovery-on-open
-//                    replays the log into storage;
-//   * continuous queries — registered downsampling rules run incrementally
-//                    on ingest and emit aggregated points without rescanning
-//                    raw data.
+//                    replays the log into storage.
 //
 // Storage: the engine writes, reads and snapshots exactly one TimeSeriesDb —
 // the caller's (the daemon's, a fleet node's) or, when the caller passes
 // none, one it owns.  Shards are batching/backpressure stages in front of
 // that store, never stores of their own.
 //
-// The engine also keeps self-telemetry counters (points/sec, queue depths,
-// drops, spills) exposed as an ObservationInterface-able measurement so
-// P-MoVE can monitor its own ingestion tier.
+// Self-telemetry: stats() is the one copy of the engine-wide counters (the
+// daemon exports its engine's as pmove_ingest{instance=engine}); per-shard
+// drops, spills, replays and queue depth go to the registry directly.
 #pragma once
 
 #include <atomic>
 #include <deque>
-#include <map>
 #include <memory>
 #include <shared_mutex>
 #include <string>
@@ -40,11 +36,9 @@
 #include <thread>
 #include <vector>
 
-#include "ingest/aggregate.hpp"
 #include "ingest/ring_buffer.hpp"
 #include "ingest/wal.hpp"
 #include "metrics/registry.hpp"
-#include "query/query.hpp"
 #include "tsdb/db.hpp"
 #include "tsdb/sink.hpp"
 #include "util/breaker.hpp"
@@ -115,17 +109,6 @@ struct IngestOptions {
   SleepFn sleep;
 };
 
-/// A registered continuous downsampling rule: every `window_ns` window of
-/// `source_measurement` is reduced with `aggregate` (mean/min/max/sum/count/
-/// stddev) per field per tag set, and emitted into `target_measurement`
-/// (stamped with the window start) when the watermark passes the window end.
-struct ContinuousQuery {
-  std::string source_measurement;
-  query::Aggregate aggregate = query::Aggregate::kMean;
-  TimeNs window_ns = kNsPerSec;
-  std::string target_measurement;  ///< default: "<source>_<agg>_<window>"
-};
-
 /// Monotonic self-telemetry counters (snapshot).
 struct IngestStats {
   std::uint64_t submitted_batches = 0;
@@ -135,7 +118,6 @@ struct IngestStats {
   std::uint64_t spilled_points = 0;    ///< routed through the spill tier
   std::uint64_t blocked_submits = 0;   ///< submits that had to wait
   std::uint64_t recovered_points = 0;  ///< replayed from the WAL on open
-  std::uint64_t downsampled_points = 0;  ///< emitted by continuous queries
   std::uint64_t wal_records = 0;
   std::uint64_t wal_bytes = 0;
   std::uint64_t flushes = 0;
@@ -213,14 +195,6 @@ class IngestEngine final : public tsdb::PointSink {
   /// No-op without a WAL.  Replaces the manual-only wal().checkpoint() flow.
   Status checkpoint();
 
-  // ------------------------------------------------- continuous queries
-
-  Status register_continuous_query(ContinuousQuery cq);
-
-  /// Flushes, then emits every continuous-query window that closed at or
-  /// before `watermark` into storage.
-  Status close_windows(TimeNs watermark);
-
   // ------------------------------------------------------------ read path
 
   /// Uncached query over the engine's store (query::run).
@@ -239,10 +213,6 @@ class IngestEngine final : public tsdb::PointSink {
   }
 
   [[nodiscard]] IngestStats stats() const;
-
-  /// Ingests one "pmove_ingest" self-telemetry point carrying the current
-  /// counters, so the engine's own health lands in the monitored DB.
-  Status publish_self_telemetry(TimeNs now, std::string_view tag = "");
 
   [[nodiscard]] bool wal_enabled() const { return !options_.wal_dir.empty(); }
   [[nodiscard]] const Wal& wal() const { return wal_; }
@@ -268,14 +238,6 @@ class IngestEngine final : public tsdb::PointSink {
  private:
   using Batch = std::vector<tsdb::Point>;
 
-  struct WindowState {
-    const ContinuousQuery* rule = nullptr;
-    std::string measurement;
-    std::map<std::string, std::string> tags;
-    TimeNs window_start = 0;
-    std::map<std::string, FieldAggregate> fields;
-  };
-
   struct Shard {
     explicit Shard(std::size_t queue_capacity) : queue(queue_capacity) {}
     BoundedQueue<Batch> queue;
@@ -297,13 +259,9 @@ class IngestEngine final : public tsdb::PointSink {
     // delivery path); the atomic mirror is for stats()/introspection.
     Ewma sink_latency;
     std::atomic<std::uint64_t> sink_latency_ns{0};
-    // Continuous-query windows of this shard's series, touched only by its
-    // worker thread (and by close_windows after a flush).
-    std::mutex agg_mutex;
-    std::map<std::string, WindowState> windows;
     // pmove_ingest self-telemetry, instance "shard<i>".  All engines in the
-    // process share these series (the registry is global); the per-engine
-    // atomics below remain the authoritative per-instance stats.
+    // process share these series (the registry is global); stats() keeps
+    // the per-engine totals.
     metrics::Counter* m_drops = nullptr;
     metrics::Counter* m_spills = nullptr;
     metrics::Counter* m_replays = nullptr;  ///< parked batches replayed
@@ -323,7 +281,6 @@ class IngestEngine final : public tsdb::PointSink {
   Status write_snapshot() const;
   void worker_loop(Shard& shard);
   void apply_batch(Shard& shard, Batch batch);
-  void update_aggregates(Shard& shard, const Batch& batch);
   void note_applied(std::size_t batches);
   /// One guarded delivery attempt: breaker -> retry -> sink.  ok() means
   /// the batch is in storage (or was poison and got counted + dropped);
@@ -342,7 +299,6 @@ class IngestEngine final : public tsdb::PointSink {
   const Clock* clock_ = nullptr;  ///< never null after construction
   SleepFn sleep_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::vector<ContinuousQuery> continuous_;  ///< frozen while running
   Wal wal_;
   std::unique_ptr<CircuitBreaker> wal_breaker_;
   std::atomic<bool> wal_healthy_{true};
@@ -369,7 +325,6 @@ class IngestEngine final : public tsdb::PointSink {
   std::atomic<std::uint64_t> spilled_points_{0};
   std::atomic<std::uint64_t> blocked_submits_{0};
   std::atomic<std::uint64_t> recovered_points_{0};
-  std::atomic<std::uint64_t> downsampled_points_{0};
   std::atomic<std::uint64_t> flushes_{0};
   std::atomic<std::size_t> max_queue_depth_{0};
   std::atomic<std::uint64_t> sink_failures_{0};
@@ -378,19 +333,6 @@ class IngestEngine final : public tsdb::PointSink {
   std::atomic<std::uint64_t> replayed_points_{0};
   std::atomic<std::uint64_t> rejected_points_{0};
   std::atomic<std::uint64_t> abandoned_points_{0};
-
-  // Engine-level pmove_ingest self-telemetry (instance "engine").
-  metrics::Counter* m_submitted_ = nullptr;
-  metrics::Counter* m_inserted_ = nullptr;
-  metrics::Counter* m_dropped_ = nullptr;
-  metrics::Counter* m_spilled_ = nullptr;
-  metrics::Counter* m_blocked_ = nullptr;
-  metrics::Counter* m_parked_ = nullptr;
-  metrics::Counter* m_replayed_ = nullptr;
-  metrics::Counter* m_abandoned_ = nullptr;
-  metrics::Counter* m_recovered_ = nullptr;
-  metrics::Counter* m_sink_failures_ = nullptr;
-  metrics::Counter* m_wal_failures_ = nullptr;
 };
 
 }  // namespace pmove::ingest

@@ -43,11 +43,12 @@ Status MetricsExporter::export_once(TimeNs now) {
   return Status::ok();
 }
 
+bool MetricsExporter::due(TimeNs now) const {
+  return !exported_once_ || now - last_export_ >= options_.interval_ns;
+}
+
 Status MetricsExporter::export_if_due(TimeNs now) {
-  if (exported_once_ && now - last_export_ < options_.interval_ns) {
-    return Status::ok();
-  }
-  return export_once(now);
+  return due(now) ? export_once(now) : Status::ok();
 }
 
 }  // namespace pmove::metrics

@@ -36,8 +36,12 @@ class MetricsExporter {
   /// Snapshots the registry and writes the grouped points stamped `now`.
   Status export_once(TimeNs now);
 
-  /// Cadence-gated export: no-op (ok) until `interval_ns` has elapsed since
-  /// the last export.  Drive it from any periodic loop.
+  /// True when export_if_due(now) would export: nothing exported yet, or
+  /// `interval_ns` has elapsed since the last export.
+  [[nodiscard]] bool due(TimeNs now) const;
+
+  /// Cadence-gated export: no-op (ok) until due(now).  Drive it from any
+  /// periodic loop.
   Status export_if_due(TimeNs now);
 
   [[nodiscard]] std::uint64_t exports() const { return exports_; }

@@ -8,8 +8,8 @@
 
 namespace pmove::metrics {
 
-/// Ingest tier: per-engine and per-shard queue/drop/spill/park counters
-/// (also emitted directly by IngestEngine::publish_self_telemetry).
+/// Ingest tier: per-shard drop/spill/replay counters and queue depth, plus
+/// the daemon's engine totals (IngestEngine::stats(), read at export).
 inline constexpr char kMeasurementIngest[] = "pmove_ingest";
 /// Write-ahead log: appends, fsyncs, rollbacks, checkpoints, checkpoint lag.
 inline constexpr char kMeasurementWal[] = "pmove_wal";
@@ -18,8 +18,9 @@ inline constexpr char kMeasurementWal[] = "pmove_wal";
 inline constexpr char kMeasurementBreaker[] = "pmove_breaker";
 /// HealthRegistry: failures / supervised restarts / state per component.
 inline constexpr char kMeasurementHealth[] = "pmove_health";
-/// Query engine: query counts, result-cache hit/miss/evictions; the shared
-/// worker pool's size and task count (instance "pool").
+/// Query engine: the daemon's query counts and result-cache hit/miss/
+/// evictions (QueryEngine::stats(), read at export); the shared worker
+/// pool's size and task count (instance "pool").
 inline constexpr char kMeasurementQuery[] = "pmove_query";
 /// Fault injection: trigger/fire counters per armed point.
 inline constexpr char kMeasurementFault[] = "pmove_fault";
@@ -27,11 +28,11 @@ inline constexpr char kMeasurementFault[] = "pmove_fault";
 inline constexpr char kMeasurementDocdb[] = "pmove_docdb";
 /// Columnar storage engine: series/point counts, tag-dictionary size,
 /// resident column bytes, run-compression footprint (compressed_runs,
-/// bytes_raw vs bytes_packed, pack_time_ns)
-/// (TimeSeriesDb::set_telemetry_instance).
+/// bytes_raw vs bytes_packed, pack_time_ns) of the daemon's store
+/// (TimeSeriesDb::stats(), read at export).
 inline constexpr char kMeasurementTsdb[] = "pmove_tsdb";
 /// Fleet execution tier: routed writes, scatter/gather outcomes, degraded
-/// queries, gossip rounds, node liveness (Fleet::publish_self_telemetry).
+/// queries, gossip rounds.
 inline constexpr char kMeasurementFleet[] = "pmove_fleet";
 /// Fleet wire tier: frames/bytes sent and received, connects/reconnects,
 /// timeouts, CRC and decode errors, torn frames — instance "transport"

@@ -3,19 +3,10 @@
 #include <cstdint>
 #include <utility>
 
-#include "metrics/names.hpp"
-
 namespace pmove::query {
 
 QueryEngine::QueryEngine(tsdb::TimeSeriesDb& db, EngineOptions options)
-    : db_(db), cache_(options.cache_capacity) {
-  metrics::Registry& reg = metrics::Registry::global();
-  const char* m = metrics::kMeasurementQuery;
-  m_queries_ = &reg.counter(m, "engine", "queries");
-  m_cache_hits_ = &reg.counter(m, "engine", "cache_hits");
-  m_cache_misses_ = &reg.counter(m, "engine", "cache_misses");
-  m_cache_evictions_ = &reg.counter(m, "engine", "cache_evictions");
-}
+    : db_(db), cache_(options.cache_capacity) {}
 
 Expected<tsdb::QueryResult> QueryEngine::run(std::string_view text) {
   auto parsed = Query::parse(text);
@@ -28,7 +19,6 @@ Expected<tsdb::QueryResult> QueryEngine::run(const Query& q) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.queries;
-    m_queries_->inc();
     if (cache_.capacity() > 0) {
       if (const ResultCache::Entry* entry = cache_.get(plan.cache_key)) {
         // Valid while the measurement's epoch is unchanged.  The epoch was
@@ -37,13 +27,11 @@ Expected<tsdb::QueryResult> QueryEngine::run(const Query& q) {
         if (entry->epoch != 0 &&
             db_.write_epoch(q.measurement) == entry->epoch) {
           ++stats_.cache_hits;
-          m_cache_hits_->inc();
           return entry->result;
         }
       }
     }
     ++stats_.cache_misses;
-    m_cache_misses_->inc();
   }
 
   // Execute outside the engine lock: scans run under the DB's shared lock
@@ -55,11 +43,7 @@ Expected<tsdb::QueryResult> QueryEngine::run(const Query& q) {
     std::lock_guard<std::mutex> lock(mutex_);
     if (result.has_value() && cache_.capacity() > 0 && epoch != 0) {
       cache_.put(plan.cache_key, {result.value(), epoch});
-      // Global counter gets the delta; the per-engine snapshot mirrors the
-      // cache's own total.
-      const std::uint64_t evictions = cache_.evictions();
-      m_cache_evictions_->add(evictions - stats_.cache_evictions);
-      stats_.cache_evictions = evictions;
+      stats_.cache_evictions = cache_.evictions();
     }
   }
   return result;

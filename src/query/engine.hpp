@@ -20,7 +20,6 @@
 #include <mutex>
 #include <string_view>
 
-#include "metrics/registry.hpp"
 #include "query/cache.hpp"
 #include "query/plan.hpp"
 #include "query/query.hpp"
@@ -34,7 +33,8 @@ struct EngineOptions {
   std::size_t cache_capacity = 256;
 };
 
-/// Monotonic counters (snapshot).
+/// Monotonic counters (snapshot): the engine's one copy of them.  The
+/// daemon exports its engine's as pmove_query{instance=engine}.
 struct EngineStats {
   std::uint64_t queries = 0;
   std::uint64_t cache_hits = 0;
@@ -66,13 +66,6 @@ class QueryEngine {
   mutable std::mutex mutex_;  ///< guards cache_, stats_
   ResultCache cache_;
   EngineStats stats_;
-
-  // pmove_query self-telemetry (instance "engine"); per-engine stats_ stays
-  // the authoritative per-instance snapshot.
-  metrics::Counter* m_queries_;
-  metrics::Counter* m_cache_hits_;
-  metrics::Counter* m_cache_misses_;
-  metrics::Counter* m_cache_evictions_;
 };
 
 }  // namespace pmove::query

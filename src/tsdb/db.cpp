@@ -13,7 +13,6 @@
 #include <numeric>
 #include <utility>
 
-#include "metrics/names.hpp"
 #include "util/strings.hpp"
 #include "util/task_pool.hpp"
 
@@ -522,7 +521,6 @@ Status TimeSeriesDb::write_batch(std::vector<Point> points) {
       seal_active_locked(*series);
     }
   }
-  refresh_gauges_locked();
   return Status::ok();
 }
 
@@ -578,14 +576,12 @@ std::size_t TimeSeriesDb::enforce_retention(TimeNs now) {
     }
   }
   live_points_ -= dropped;
-  if (dropped != 0) refresh_gauges_locked();
   return dropped;
 }
 
 std::size_t TimeSeriesDb::compact() {
   std::unique_lock<std::shared_mutex> lock(mutex_);
   std::size_t folded = 0;
-  bool packed_any = false;
   for (auto& [name, store] : series_) {
     for (auto& entry : store.series) {
       Series& s = *entry;
@@ -595,14 +591,13 @@ std::size_t TimeSeriesDb::compact() {
         // Nothing to fold, but an already-compacted base may still be
         // uncompressed (e.g. packing was just enabled): compress it now so
         // an explicit compact() always converges to the packed layout.
-        packed_any = try_pack_locked(s.base) || packed_any;
+        try_pack_locked(s.base);
         continue;
       }
       fold_series_locked(s, /*include_active=*/true);
       folded += loose;
     }
   }
-  if (folded != 0 || packed_any) refresh_gauges_locked();
   return folded;
 }
 
@@ -918,7 +913,6 @@ void TimeSeriesDb::clear() {
   dict_.clear();
   bytes_written_ = 0;
   live_points_ = 0;
-  refresh_gauges_locked();
 }
 
 std::size_t TimeSeriesDb::drop_measurement(std::string_view name) {
@@ -932,7 +926,6 @@ std::size_t TimeSeriesDb::drop_measurement(std::string_view name) {
   }
   series_.erase(it);
   live_points_ -= dropped;
-  refresh_gauges_locked();
   return dropped;
 }
 
@@ -981,7 +974,6 @@ std::size_t TimeSeriesDb::drop_series(
   rebuild_index_locked(store, dict_);
   bump_epoch_locked(it->first);
   live_points_ -= dropped;
-  refresh_gauges_locked();
   return dropped;
 }
 
@@ -1109,72 +1101,6 @@ TimeSeriesDb::PackedTotals TimeSeriesDb::stats_packed_locked() const {
     }
   }
   return totals;
-}
-
-void TimeSeriesDb::set_telemetry_instance(const std::string& instance) {
-  std::unique_lock<std::shared_mutex> lock(mutex_);
-  auto& reg = metrics::Registry::global();
-  m_series_ = &reg.gauge(metrics::kMeasurementTsdb, instance, "series");
-  m_points_ = &reg.gauge(metrics::kMeasurementTsdb, instance, "points");
-  m_dict_strings_ =
-      &reg.gauge(metrics::kMeasurementTsdb, instance, "dict_strings");
-  m_dict_bytes_ = &reg.gauge(metrics::kMeasurementTsdb, instance, "dict_bytes");
-  m_column_bytes_ =
-      &reg.gauge(metrics::kMeasurementTsdb, instance, "column_bytes");
-  m_sealed_runs_ =
-      &reg.gauge(metrics::kMeasurementTsdb, instance, "sealed_runs");
-  m_run_seals_ = &reg.gauge(metrics::kMeasurementTsdb, instance, "run_seals");
-  m_run_folds_ = &reg.gauge(metrics::kMeasurementTsdb, instance, "run_folds");
-  m_compressed_runs_ =
-      &reg.gauge(metrics::kMeasurementTsdb, instance, "compressed_runs");
-  m_bytes_raw_ = &reg.gauge(metrics::kMeasurementTsdb, instance, "bytes_raw");
-  m_bytes_packed_ =
-      &reg.gauge(metrics::kMeasurementTsdb, instance, "bytes_packed");
-  m_pack_time_ns_ =
-      &reg.gauge(metrics::kMeasurementTsdb, instance, "pack_time_ns");
-  m_index_postings_ =
-      &reg.gauge(metrics::kMeasurementTsdb, instance, "index_postings");
-  m_index_probes_ =
-      &reg.gauge(metrics::kMeasurementTsdb, instance, "index_probes");
-  m_index_scans_ =
-      &reg.gauge(metrics::kMeasurementTsdb, instance, "index_scans");
-  m_index_fallbacks_ =
-      &reg.gauge(metrics::kMeasurementTsdb, instance, "index_fallbacks");
-  refresh_gauges_locked();
-}
-
-void TimeSeriesDb::refresh_gauges_locked() {
-  if (m_series_ == nullptr) return;
-  std::size_t series = 0;
-  std::size_t sealed_runs = 0;
-  for (const auto& [name, store] : series_) {
-    series += store.series.size();
-    for (const auto& entry : store.series) sealed_runs += entry->sealed.size();
-  }
-  m_series_->set(static_cast<double>(series));
-  m_points_->set(static_cast<double>(live_points_));
-  m_dict_strings_->set(static_cast<double>(dict_.string_count()));
-  m_dict_bytes_->set(static_cast<double>(dict_.memory_bytes()));
-  m_column_bytes_->set(static_cast<double>(stats_column_bytes_locked()));
-  m_sealed_runs_->set(static_cast<double>(sealed_runs));
-  m_run_seals_->set(static_cast<double>(run_seals_));
-  m_run_folds_->set(static_cast<double>(run_folds_));
-  const PackedTotals packed = stats_packed_locked();
-  m_compressed_runs_->set(static_cast<double>(packed.runs));
-  m_bytes_raw_->set(static_cast<double>(packed.raw));
-  m_bytes_packed_->set(static_cast<double>(packed.packed));
-  m_pack_time_ns_->set(static_cast<double>(pack_time_ns_));
-  std::size_t postings = 0;
-  for (const auto& [name, store] : series_) {
-    for (const auto& [pair, list] : store.postings) postings += list.size();
-  }
-  m_index_postings_->set(static_cast<double>(postings));
-  m_index_probes_->set(static_cast<double>(
-      index_probes_.load(std::memory_order_relaxed)));
-  m_index_scans_->set(static_cast<double>(
-      index_scans_.load(std::memory_order_relaxed)));
-  m_index_fallbacks_->set(static_cast<double>(
-      index_fallbacks_.load(std::memory_order_relaxed)));
 }
 
 }  // namespace pmove::tsdb

@@ -51,7 +51,6 @@
 #include <utility>
 #include <vector>
 
-#include "metrics/registry.hpp"
 #include "tsdb/columns.hpp"
 #include "tsdb/dict.hpp"
 #include "tsdb/point.hpp"
@@ -83,7 +82,8 @@ struct RetentionPolicy {
   TimeNs duration = 0;  ///< 0 = keep forever
 };
 
-/// Storage-engine introspection snapshot (the pmove_tsdb gauges).
+/// Storage-engine introspection snapshot.  The daemon copies it into the
+/// pmove_tsdb gauges each time it exports its internals.
 struct TsdbStats {
   std::size_t measurements = 0;
   std::size_t series = 0;        ///< (measurement, tag set) pairs
@@ -217,6 +217,8 @@ class TimeSeriesDb : public PointSink {
 
   // -------------------------------------------------------- introspection
 
+  /// Walks every series, run and posting list under the shared lock, so
+  /// callers read it when they need the numbers, never once per write.
   [[nodiscard]] TsdbStats stats() const;
 
   /// LSM write-path tuning.  set_run_config applies to subsequent writes
@@ -242,12 +244,6 @@ class TimeSeriesDb : public PointSink {
   /// here.  Pass nullptr to restore the default.  The pool is borrowed and
   /// must outlive every scan.
   void set_scan_pool(util::TaskPool* pool);
-
-  /// Enables pmove_tsdb self-telemetry: after every mutation the storage
-  /// gauges (series/points/dict/column bytes, run counters) are refreshed
-  /// under the given instance tag.  Off by default — per-shard ingest DBs
-  /// stay silent; the daemon names its primary DB.
-  void set_telemetry_instance(const std::string& instance);
 
  private:
   struct MeasurementStore {
@@ -314,8 +310,6 @@ class TimeSeriesDb : public PointSink {
   };
   [[nodiscard]] PackedTotals stats_packed_locked() const;
 
-  void refresh_gauges_locked();
-
   mutable std::shared_mutex mutex_;
   std::map<std::string, MeasurementStore, std::less<>> series_;
   std::map<std::string, std::uint64_t, std::less<>> epochs_;
@@ -337,24 +331,6 @@ class TimeSeriesDb : public PointSink {
   std::uint64_t run_seals_ = 0;
   std::uint64_t run_folds_ = 0;
   std::uint64_t pack_time_ns_ = 0;
-
-  // pmove_tsdb self-telemetry; null until set_telemetry_instance().
-  metrics::Gauge* m_series_ = nullptr;
-  metrics::Gauge* m_points_ = nullptr;
-  metrics::Gauge* m_dict_strings_ = nullptr;
-  metrics::Gauge* m_dict_bytes_ = nullptr;
-  metrics::Gauge* m_column_bytes_ = nullptr;
-  metrics::Gauge* m_sealed_runs_ = nullptr;
-  metrics::Gauge* m_run_seals_ = nullptr;
-  metrics::Gauge* m_run_folds_ = nullptr;
-  metrics::Gauge* m_compressed_runs_ = nullptr;
-  metrics::Gauge* m_bytes_raw_ = nullptr;
-  metrics::Gauge* m_bytes_packed_ = nullptr;
-  metrics::Gauge* m_pack_time_ns_ = nullptr;
-  metrics::Gauge* m_index_postings_ = nullptr;
-  metrics::Gauge* m_index_probes_ = nullptr;
-  metrics::Gauge* m_index_scans_ = nullptr;
-  metrics::Gauge* m_index_fallbacks_ = nullptr;
 };
 
 }  // namespace pmove::tsdb

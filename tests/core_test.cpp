@@ -1,8 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <filesystem>
+#include <map>
+#include <string>
+#include <thread>
+#include <unistd.h>
+#include <vector>
+
 #include "core/daemon.hpp"
 #include "core/pinning.hpp"
 #include "dashboard/views.hpp"
+#include "ingest/wal.hpp"
 #include "kernels/kernels.hpp"
 #include "query/plan.hpp"
 
@@ -303,6 +312,146 @@ TEST(DaemonZen3Test, Avx512GenericSkippedOnAmd) {
   EXPECT_EQ(*events, std::vector<std::string>{"RETIRED_SSE_AVX_FLOPS:ANY"});
   // Only unsupported events -> error.
   EXPECT_FALSE(daemon.resolve_events({"FLOPS_AVX512_DP"}, true).has_value());
+}
+
+// --------------------------------------------------------- self-telemetry
+
+tsdb::Point make_point(const std::string& measurement, const std::string& host,
+                       TimeNs t, double value) {
+  tsdb::Point p;
+  p.measurement = measurement;
+  p.tags["host"] = host;
+  p.time = t;
+  p.fields["value"] = value;
+  return p;
+}
+
+/// The latest row of `SELECT <fields> FROM <measurement> WHERE
+/// instance=<instance>` over `db`, as (field -> value); fields the result
+/// lacks are left out.
+std::map<std::string, double> exported_row(
+    const tsdb::TimeSeriesDb& db, const std::string& measurement,
+    const std::string& instance, const std::vector<std::string>& fields) {
+  std::string text = "SELECT ";
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    text += (i == 0 ? "\"" : ", \"") + fields[i] + "\"";
+  }
+  text += " FROM \"" + measurement + "\" WHERE instance=\"" + instance + "\"";
+  auto result = query::run(db, text);
+  EXPECT_TRUE(result.has_value()) << result.status().to_string();
+  std::map<std::string, double> row;
+  if (!result.has_value() || result->rows.empty()) return row;
+  // Rows come back in time order, so the latest export is the last row.
+  const std::vector<double>& last = result->rows.back();
+  for (const std::string& field : fields) {
+    const std::size_t column = result->column_index(field);
+    if (column < last.size()) row[field] = last[column];
+  }
+  return row;
+}
+
+TEST(DaemonTelemetryTest, EachDaemonExportsItsOwnStore) {
+  Daemon a;
+  Daemon b;
+  ASSERT_TRUE(a.timeseries()
+                  .write_batch({make_point("m", "h0", 1, 1.0),
+                                make_point("m", "h1", 2, 2.0),
+                                make_point("m", "h2", 3, 3.0)})
+                  .is_ok());
+  std::vector<tsdb::Point> five;
+  for (int i = 0; i < 5; ++i) {
+    five.push_back(make_point("m", "h" + std::to_string(i), i, 1.0));
+  }
+  ASSERT_TRUE(b.timeseries().write_batch(std::move(five)).is_ok());
+
+  const tsdb::TsdbStats before = a.timeseries().stats();
+  ASSERT_EQ(before.points, 3u);
+  ASSERT_EQ(before.series, 3u);
+  ASSERT_TRUE(a.publish_internals(from_seconds(1.0)).is_ok());
+  const auto row = exported_row(a.timeseries(), "pmove_tsdb", "db",
+                                {"points", "series"});
+  ASSERT_EQ(row.size(), 2u);
+  EXPECT_EQ(row.at("points"), static_cast<double>(before.points));
+  EXPECT_EQ(row.at("series"), static_cast<double>(before.series));
+}
+
+TEST(DaemonTelemetryTest, RecoveredPointsAreExportedAsInserted) {
+  // The log is written through the bare Wal, not an IngestEngine, so no
+  // live delivery anywhere in the process accounts for these points: the
+  // only way they reach inserted_points is the replay itself.
+  const std::string dir =
+      (std::filesystem::temp_directory_path() /
+       ("pmove_core_wal_" + std::to_string(::getpid())))
+          .string();
+  std::filesystem::remove_all(dir);
+  constexpr int kRecords = 7;
+  {
+    ingest::Wal wal;
+    ASSERT_TRUE(wal.open({.dir = dir}).is_ok());
+    for (int i = 0; i < kRecords; ++i) {
+      ASSERT_TRUE(
+          wal.append(make_point("m", "h0", i + 1, 1.0 * i).to_line())
+              .has_value());
+    }
+    wal.close();
+  }
+  DaemonConfig config;
+  config.ingest.wal_dir = dir;
+  config.ingest.shard_count = 2;
+  Daemon daemon(config);
+  ASSERT_TRUE(daemon.enable_ingest().is_ok());
+  const ingest::IngestStats stats = daemon.ingest()->stats();
+  EXPECT_EQ(stats.recovered_points, static_cast<std::uint64_t>(kRecords));
+  EXPECT_EQ(stats.inserted_points, static_cast<std::uint64_t>(kRecords));
+
+  ASSERT_TRUE(daemon.publish_internals(from_seconds(1.0)).is_ok());
+  const auto row = exported_row(daemon.timeseries(), "pmove_ingest", "engine",
+                                {"inserted_points", "recovered_points"});
+  ASSERT_EQ(row.size(), 2u);
+  EXPECT_EQ(row.at("inserted_points"),
+            static_cast<double>(stats.inserted_points));
+  EXPECT_EQ(row.at("recovered_points"),
+            static_cast<double>(stats.recovered_points));
+  daemon.ingest()->close();
+  std::filesystem::remove_all(dir);
+}
+
+TEST(DaemonTelemetryTest, PublishWhileIngestSubmits) {
+  DaemonConfig config;
+  config.ingest.shard_count = 2;
+  Daemon daemon(config);
+  ASSERT_TRUE(daemon.enable_ingest().is_ok());
+  constexpr int kPerBatch = 8;
+  std::atomic<bool> stop{false};
+  std::atomic<int> batches{0};
+  std::thread producer([&daemon, &stop, &batches] {
+    while (!stop.load()) {
+      const int b = batches.load();
+      std::vector<tsdb::Point> batch;
+      for (int i = 0; i < kPerBatch; ++i) {
+        batch.push_back(make_point("m", "h" + std::to_string(i),
+                                   b * kPerBatch + i, 1.0 * b));
+      }
+      EXPECT_TRUE(daemon.ingest()->submit(std::move(batch)).is_ok());
+      batches.store(b + 1);
+    }
+  });
+  // Every export overlaps submits, the shard workers' writes into the
+  // store and the producer's counter bumps.
+  while (batches.load() == 0) std::this_thread::yield();
+  for (int i = 1; i <= 20; ++i) {
+    EXPECT_TRUE(daemon.publish_internals(from_seconds(i)).is_ok());
+  }
+  stop.store(true);
+  producer.join();
+  ASSERT_TRUE(daemon.ingest()->flush().is_ok());
+  ASSERT_TRUE(daemon.publish_internals(from_seconds(21.0)).is_ok());
+  const auto row = exported_row(daemon.timeseries(), "pmove_ingest", "engine",
+                                {"submitted_points", "inserted_points"});
+  ASSERT_EQ(row.size(), 2u);
+  const double submitted = batches.load() * kPerBatch;
+  EXPECT_EQ(row.at("submitted_points"), submitted);
+  EXPECT_EQ(row.at("inserted_points"), submitted);
 }
 
 }  // namespace

@@ -723,95 +723,6 @@ TEST(IngestEngineTest, SpillPolicyRequiresWal) {
   EXPECT_EQ(engine.open().code(), ErrorCode::kInvalidArgument);
 }
 
-// ------------------------------------------------------ continuous queries
-
-TEST(IngestEngineTest, ContinuousQueryDownsamplesWithoutRescan) {
-  IngestOptions options;
-  options.shard_count = 2;
-  IngestEngine engine(options);
-  ContinuousQuery cq;
-  cq.source_measurement = "cycles";
-  cq.aggregate = pmove::query::Aggregate::kMean;
-  cq.window_ns = kNsPerSec;
-  ASSERT_TRUE(engine.register_continuous_query(std::move(cq)).is_ok());
-  ASSERT_TRUE(engine.open().is_ok());
-  // 3 windows x 4 points each, one series; values are window*10 + i.
-  std::vector<tsdb::Point> batch;
-  for (int w = 0; w < 3; ++w) {
-    for (int i = 0; i < 4; ++i) {
-      batch.push_back(make_point(
-          "cycles", w * kNsPerSec + i * (kNsPerSec / 8),
-          static_cast<double>(w * 10 + i), "job1"));
-    }
-  }
-  ASSERT_TRUE(engine.submit(std::move(batch)).is_ok());
-  // Watermark past windows 0 and 1 only.
-  ASSERT_TRUE(engine.close_windows(2 * kNsPerSec).is_ok());
-  auto result = engine.query(
-      "SELECT * FROM \"cycles_mean_1000000000ns\"");
-  ASSERT_TRUE(result.has_value());
-  ASSERT_EQ(result->rows.size(), 2u);
-  // mean of {0,1,2,3} = 1.5 and {10,11,12,13} = 11.5.
-  EXPECT_DOUBLE_EQ(result->rows[0][1], 1.5);
-  EXPECT_DOUBLE_EQ(result->rows[1][1], 11.5);
-  EXPECT_EQ(engine.stats().downsampled_points, 2u);
-  // Window 2 emits once the watermark passes it.
-  ASSERT_TRUE(engine.close_windows(3 * kNsPerSec).is_ok());
-  result = engine.query("SELECT * FROM \"cycles_mean_1000000000ns\"");
-  ASSERT_TRUE(result.has_value());
-  EXPECT_EQ(result->rows.size(), 3u);
-  engine.close();
-}
-
-TEST(IngestEngineTest, ContinuousStddevMatchesGroupedQuery) {
-  // A large mean next to a small spread: the one-pass Σv² − (Σv)²/n
-  // cancels to 111.05 here; the evaluator's two-pass stddev is 0.817.
-  IngestOptions options;
-  options.shard_count = 2;
-  IngestEngine engine(options);
-  ContinuousQuery cq;
-  cq.source_measurement = "cycles";
-  cq.aggregate = pmove::query::Aggregate::kStddev;
-  cq.window_ns = kNsPerSec;
-  ASSERT_TRUE(engine.register_continuous_query(std::move(cq)).is_ok());
-  ASSERT_TRUE(engine.open().is_ok());
-  std::vector<tsdb::Point> batch;
-  for (int i = 0; i < 1000; ++i) {
-    batch.push_back(make_point("cycles", i * 1000,
-                               1e9 + static_cast<double>(i % 3), "job1"));
-  }
-  ASSERT_TRUE(engine.submit(std::move(batch)).is_ok());
-  ASSERT_TRUE(engine.close_windows(kNsPerSec).is_ok());
-  auto rolled = engine.query("SELECT * FROM \"cycles_stddev_1000000000ns\"");
-  auto grouped = engine.query(
-      "SELECT stddev(\"value\") FROM \"cycles\" WHERE time >= 0 AND "
-      "time <= 999999999 GROUP BY time(1s)");
-  ASSERT_TRUE(rolled.has_value());
-  ASSERT_TRUE(grouped.has_value());
-  ASSERT_EQ(rolled->rows.size(), 1u);
-  ASSERT_EQ(grouped->rows.size(), 1u);
-  const double want = grouped->rows[0][1];
-  EXPECT_NEAR(want, 0.817, 1e-3);
-  EXPECT_NEAR(rolled->rows[0][1], want, 1e-9 * want);
-  engine.close();
-}
-
-TEST(IngestEngineTest, ContinuousQueryRejectsNoneFirstAndLast) {
-  IngestEngine engine(IngestOptions{});
-  ContinuousQuery cq;
-  cq.source_measurement = "cycles";
-  for (pmove::query::Aggregate agg :
-       {pmove::query::Aggregate::kNone, pmove::query::Aggregate::kFirst,
-        pmove::query::Aggregate::kLast}) {
-    cq.aggregate = agg;
-    const Status s = engine.register_continuous_query(cq);
-    EXPECT_EQ(s.code(), ErrorCode::kInvalidArgument);
-    EXPECT_NE(s.message().find("unsupported aggregate"), std::string::npos);
-  }
-  cq.aggregate = pmove::query::Aggregate::kCount;
-  EXPECT_TRUE(engine.register_continuous_query(cq).is_ok());
-}
-
 // ------------------------------------------------ adaptive sink deadlines
 
 TEST(IngestEngineTest, AdaptiveSinkDeadlineTracksDeliveryLatency) {
@@ -897,22 +808,6 @@ TEST(IngestEngineTest, DropModeReproducesTableIIILoss) {
   config.transport.mode = sampler::BackpressureMode::kDrop;
   auto stats = sampler::run_sampling_session(machine, config, nullptr);
   EXPECT_GT(stats.loss_plus_zero_pct(), 50.0);
-}
-
-// ----------------------------------------------------------- self telemetry
-
-TEST(IngestEngineTest, SelfTelemetryLandsInStorage) {
-  IngestEngine engine(IngestOptions{});
-  ASSERT_TRUE(engine.open().is_ok());
-  ASSERT_TRUE(engine.submit({make_point("m", 1, 2.0)}).is_ok());
-  ASSERT_TRUE(engine.flush().is_ok());
-  ASSERT_TRUE(engine.publish_self_telemetry(kNsPerSec, "obs1").is_ok());
-  ASSERT_TRUE(engine.flush().is_ok());
-  auto result = engine.query(
-      "SELECT * FROM \"pmove_ingest\" WHERE tag=\"obs1\"");
-  ASSERT_TRUE(result.has_value());
-  ASSERT_EQ(result->rows.size(), 1u);
-  engine.close();
 }
 
 TEST(IngestEngineTest, SubmitLinesDecodesOnce) {

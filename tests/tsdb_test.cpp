@@ -710,9 +710,8 @@ TEST(ColumnarTest, ScanReadersRaceBatchWriters) {
   EXPECT_EQ(db.point_count(), 12'000u);
 }
 
-TEST(ColumnarTest, StatsAndTelemetryGauges) {
+TEST(ColumnarTest, StatsReportStorageFootprint) {
   TimeSeriesDb db;
-  db.set_telemetry_instance("test_db");
   std::vector<Point> batch;
   for (int i = 0; i < 8; ++i) {
     Point p;
@@ -732,9 +731,6 @@ TEST(ColumnarTest, StatsAndTelemetryGauges) {
   EXPECT_GT(stats.dict_bytes, 0u);
   // 8 rows x (time + seq) + 16 field cells x 8 bytes.
   EXPECT_EQ(stats.column_bytes, 8u * 16u + 16u * 8u);
-  auto& gauge = metrics::Registry::global().gauge(
-      "pmove_tsdb", "test_db", "points");
-  EXPECT_EQ(gauge.value(), 8.0);
 }
 
 // ------------------------------------------------------------- LSM runs

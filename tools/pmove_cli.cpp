@@ -1067,7 +1067,6 @@ int cmd_fleet(int argc, char** argv) {
 
   now += from_seconds(to_seconds(f.gossip().suspect_after_ns()) + 1.0);
   f.tick(now);
-  f.publish_self_telemetry(now);
   std::printf("\n%s", f.render_health(now).c_str());
 
   // Recovery: the victim rejoins (with --wire: fresh port, transport
