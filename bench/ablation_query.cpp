@@ -8,23 +8,29 @@
 // in serial-equivalent order — so the answer is bit-for-bit identical to
 // PMOVE_QUERY_THREADS=1 at any thread count.  This ablation sweeps thread
 // count x series cardinality over the four parallelized query shapes,
-// bit-compares every cell against its single-thread baseline, checks the
-// index's probe accounting, and emits BENCH_query.json next to the binary.
+// times each against 1 thread, bit-compares every cell against its
+// single-thread baseline, checks the index's probe accounting, and writes
+// BENCH_query.json in the working directory.
 //
 // The speedup gate self-scales to the machine (judged at the largest
-// configured thread count the hardware can run; skipped on one core) —
-// parity and index gates always apply.
+// swept thread count the hardware can run; skipped on one core) — parity
+// and index gates always apply.
 //
 // Usage: ablation_query [total_points] [repeats]
-//        (default 600k/3; series sweep 1k/10k/100k, threads 1/2/4/8)
+//        (default 600k/3; series sweep 1k/10k/100k, threads 2/4/8 each
+//        against 1)
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 
-#include "query/parallel_bench.hpp"
+#include "support/query_bench.hpp"
+#include "support/report.hpp"
+
+using pmove::bench::Better;
 
 int main(int argc, char** argv) {
-  pmove::query::QueryBenchConfig config;
+  pmove::bench::QueryBenchConfig config;
   if (argc > 1) {
     config.total_points = static_cast<std::size_t>(std::atoll(argv[1]));
   }
@@ -34,18 +40,46 @@ int main(int argc, char** argv) {
     return 2;
   }
   std::printf("ABLATION: parallel query execution vs single-thread\n\n");
-  const auto result = pmove::query::run_query_bench(config);
-  pmove::query::print_report(result);
+  const auto r = pmove::bench::run_query_bench(config);
+  pmove::bench::print_report(r);
 
-  const std::string json = pmove::query::to_json(result);
-  if (std::FILE* out = std::fopen("BENCH_query.json", "w")) {
-    std::fwrite(json.data(), 1, json.size(), out);
-    std::fclose(out);
-    std::printf("\nwrote BENCH_query.json\n");
-  } else {
-    std::fprintf(stderr, "cannot write BENCH_query.json\n");
-    return 1;
+  pmove::json::Array series_counts;
+  for (const std::size_t s : pmove::bench::kQuerySeriesCounts) {
+    series_counts.push_back(static_cast<std::uint64_t>(s));
   }
+  pmove::json::Array threads;
+  for (const std::size_t t : pmove::bench::kQueryThreads) {
+    threads.push_back(static_cast<std::uint64_t>(t));
+  }
+  pmove::bench::Report report(
+      "ablation_query",
+      {{"total_points", static_cast<std::uint64_t>(config.total_points)},
+       {"repeats", config.repeats},
+       {"series_counts", series_counts},
+       {"threads", threads}});
+  for (const pmove::bench::QueryBenchCell& c : r.cells) {
+    const std::string cell = "s" + std::to_string(c.series) + ".t" +
+                             std::to_string(c.threads) + ".";
+    const auto shape = [&](const std::string& name,
+                           pmove::bench::ThreadPair p, const char* rate,
+                           const char* unit) {
+      report.metric(cell + name + "_" + rate, p.many, unit, Better::kHigher);
+      report.metric(cell + name + "_speedup", p.speedup(), "x",
+                    Better::kHigher);
+    };
+    shape("aggregate", c.aggregate, "mps", "Mp/s");
+    shape("grouped", c.grouped, "mps", "Mp/s");
+    shape("raw", c.raw, "mps", "Mp/s");
+    shape("filtered", c.filtered, "qps", "queries/s");
+  }
+
+  report.gate("parity", r.parity_ok);
+  report.gate("index", r.index_ok);
+  if (r.speedup_checked) {
+    report.gate("aggregate_speedup_t" + std::to_string(r.gate_threads),
+                r.aggregate_speedup, r.gate_floor, Better::kHigher);
+  }
+  if (!report.write("BENCH_query.json")) return 1;
   std::printf(
       "\nTakeaway: the inverted tag index turns tag-filtered queries from\n"
       "a linear probe of every series into a posting-list intersection\n"
@@ -54,25 +88,5 @@ int main(int argc, char** argv) {
       "moving a single result bit — count/min/max/first/last merge as\n"
       "order-exact partials, sum-based folds keep their serial order per\n"
       "field.  Dashboards get the speedup; parity tests keep the proof.\n");
-
-  bool ok = true;
-  if (!result.parity_ok) {
-    std::fprintf(stderr,
-                 "GATE FAIL: parallel result != single-thread baseline\n");
-    ok = false;
-  }
-  if (!result.index_ok) {
-    std::fprintf(stderr,
-                 "GATE FAIL: index probes exceeded matching series (or the "
-                 "index never engaged)\n");
-    ok = false;
-  }
-  if (result.speedup_checked && !result.speedup_ok) {
-    std::fprintf(stderr,
-                 "GATE FAIL: aggregate speedup %.2fx < %.2fx at %zu threads\n",
-                 result.aggregate_speedup, result.gate_floor,
-                 result.gate_threads);
-    ok = false;
-  }
-  return ok ? 0 : 1;
+  return report.passed() ? 0 : 1;
 }

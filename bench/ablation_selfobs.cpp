@@ -17,7 +17,10 @@
 //      exports, so the two must cost the same; the bench exits 1 when the
 //      daemon's store is more than 1.1x slower.  It also prints (ungated)
 //      what one publish_internals costs at that size.
+//
+// Every figure lands in BENCH_selfobs.json in the working directory.
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <limits>
 #include <string>
@@ -28,10 +31,13 @@
 #include "metrics/exporter.hpp"
 #include "metrics/names.hpp"
 #include "metrics/registry.hpp"
+#include "support/report.hpp"
+#include "support/runner.hpp"
 #include "tsdb/db.hpp"
 #include "util/clock.hpp"
 
 using namespace pmove;
+using bench::Better;
 
 namespace {
 
@@ -86,11 +92,13 @@ tsdb::Point gate_point(std::size_t index, TimeNs t) {
   return point;
 }
 
-/// 4. The per-write gate.  Returns the process exit code.
-int per_write_gate(const WallClock& wall) {
-  constexpr std::size_t kSeries = 100'000;
-  constexpr int kRounds = 201;  // per side
-  constexpr int kWritesPerRound = 16;
+// The per-write gate's store size, rounds and writes per timed run.
+constexpr std::size_t kSeries = 100'000;
+constexpr int kRounds = 201;
+constexpr std::size_t kWritesPerRun = 16;
+
+/// 4. The per-write gate.  Returns false when a store cannot be preloaded.
+bool per_write_gate(const WallClock& wall, bench::Report& report) {
   constexpr double kMaxRatio = 1.1;
 
   core::Daemon daemon;
@@ -104,41 +112,50 @@ int per_write_gate(const WallClock& wall) {
     }
     if (Status s = db->write_batch(std::move(preload)); !s.is_ok()) {
       std::fprintf(stderr, "preload failed: %s\n", s.to_string().c_str());
-      return 1;
+      return false;
     }
   }
 
-  // Rounds alternate strictly between the stores, so each round follows
-  // one on the other store and both see the same cache state.  Every round
-  // writes one point into each of the same kWritesPerRound series, spread
-  // over the key space.  Short rounds, many of them, and each side's
-  // fastest round: that figure is the write path itself, not a noisy
-  // neighbour or where the allocator placed two 100k-series stores, while
-  // per-write work that scales with the store still shows in full.
-  double best[2] = {std::numeric_limits<double>::infinity(),
-                    std::numeric_limits<double>::infinity()};
-  for (int round = 0; round < 2 * kRounds; ++round) {
-    const int side = round % 2;
-    const TimeNs t = 1 + static_cast<TimeNs>(round / 2) * kWritesPerRound;
-    std::vector<std::vector<tsdb::Point>> batches(kWritesPerRound);
-    for (int w = 0; w < kWritesPerRound; ++w) {
-      batches[w].push_back(
-          gate_point(w * (kSeries / kWritesPerRound), t + w));
-    }
-    const TimeNs start = wall.now();
-    for (auto& batch : batches) {
-      (void)stores[side]->write_batch(std::move(batch));
-    }
-    best[side] = std::min(
-        best[side],
-        static_cast<double>(wall.now() - start) / kWritesPerRound);
-  }
-  const double ratio = best[0] / best[1];
-  std::printf("\nper-write gate (%zu series per store, min of %d rounds x "
-              "%d single-point writes):\n",
-              kSeries, kRounds, kWritesPerRound);
-  std::printf("  daemon store write_batch: %10.0f ns\n", best[0]);
-  std::printf("  bare store write_batch:   %10.0f ns\n", best[1]);
+  // Every run writes one point into each of the same kWritesPerRun series,
+  // spread over the key space, at fresh timestamps.  The runner calls each
+  // side untimed, then timed, every round; the untimed call also builds
+  // the timed call's batches, so a timed run times write_batch alone, on
+  // points built moments before, as a sampler's are.  Short runs, many
+  // rounds, and each side's fastest run: that figure is the write path
+  // itself, not a noisy neighbour or where the allocator placed two
+  // 100k-series stores, while per-write work that scales with the store
+  // still shows in full.
+  std::vector<std::vector<tsdb::Point>> batches[2];
+  int calls[2] = {0, 0};
+  const auto writes_into = [&](int side) {
+    return [&, side] {
+      auto& round = batches[side];
+      const std::size_t index = static_cast<std::size_t>(calls[side]++);
+      if (index % 2 == 0) {
+        const TimeNs t = 1 + static_cast<TimeNs>(index * kWritesPerRun);
+        round.assign(2 * kWritesPerRun, {});
+        for (std::size_t i = 0; i < round.size(); ++i) {
+          round[i].push_back(
+              gate_point((i % kWritesPerRun) * (kSeries / kWritesPerRun),
+                         t + static_cast<TimeNs>(i)));
+        }
+      }
+      const std::size_t first = index % 2 == 0 ? 0 : kWritesPerRun;
+      for (std::size_t w = 0; w < kWritesPerRun; ++w) {
+        (void)stores[side]->write_batch(std::move(round[first + w]));
+      }
+    };
+  };
+  const bench::AbTimes t =
+      bench::run_ab(kRounds, writes_into(0), writes_into(1));
+  const double daemon_ns = t.a_s * 1e9 / kWritesPerRun;
+  const double bare_ns = t.b_s * 1e9 / kWritesPerRun;
+  const double ratio = daemon_ns / bare_ns;
+  std::printf("\nper-write gate (%zu series per store, fastest of %d "
+              "alternating rounds x %zu single-point writes):\n",
+              kSeries, kRounds, kWritesPerRun);
+  std::printf("  daemon store write_batch: %10.0f ns\n", daemon_ns);
+  std::printf("  bare store write_batch:   %10.0f ns\n", bare_ns);
   std::printf("  ratio: %.2fx (gate <= %.1fx)\n", ratio, kMaxRatio);
 
   double publish_best = std::numeric_limits<double>::infinity();
@@ -151,14 +168,19 @@ int per_write_gate(const WallClock& wall) {
   std::printf("  one publish_internals at %zu series: %.2f ms (not gated)\n",
               kSeries, publish_best / 1e6);
 
-  if (ratio > kMaxRatio) {
+  report.metric("per_write.daemon_ns", daemon_ns, "ns", Better::kLower);
+  report.metric("per_write.bare_ns", bare_ns, "ns", Better::kLower);
+  report.metric("per_write.ratio", ratio, "x", Better::kLower);
+  report.metric("publish_internals_ms", publish_best / 1e6, "ms",
+                Better::kLower);
+  if (report.gate("per_write_ratio", ratio, kMaxRatio, Better::kLower)) {
+    std::printf("PASS\n");
+  } else {
     std::printf("FAIL: a write to the daemon's store costs %.2fx a bare "
                 "store write\n",
                 ratio);
-    return 1;
   }
-  std::printf("PASS\n");
-  return 0;
+  return true;
 }
 
 }  // namespace
@@ -171,6 +193,11 @@ int main() {
   std::printf("registry: %zu metrics, %zu samples per snapshot\n\n",
               reg.size(), reg.snapshot().size());
   const WallClock wall;
+  bench::Report report("ablation_selfobs",
+                       {{"gate_series", static_cast<std::uint64_t>(kSeries)},
+                        {"gate_rounds", kRounds},
+                        {"gate_writes_per_run",
+                         static_cast<std::uint64_t>(kWritesPerRun)}});
 
   // 1. Hot path: the cost a component pays per instrumented event.
   {
@@ -183,6 +210,8 @@ int main() {
     std::printf("hot path: %d counter bumps in %.1f ms -> %.2f ns/op\n",
                 kOps, static_cast<double>(elapsed) / 1e6,
                 static_cast<double>(elapsed) / kOps);
+    report.metric("hot_path.counter_inc_ns",
+                  static_cast<double>(elapsed) / kOps, "ns", Better::kLower);
   }
 
   // 2. One export: snapshot + group + TSDB batch write.
@@ -199,6 +228,9 @@ int main() {
                 static_cast<double>(elapsed) / kExports / 1e3,
                 static_cast<unsigned long long>(exporter.points_written() /
                                                 kExports));
+    report.metric("export.one_us",
+                  static_cast<double>(elapsed) / kExports / 1e3, "us",
+                  Better::kLower);
   }
 
   // 3. Cadence sweep: a 60 s monitoring loop ticking at 1 kHz (the daemon's
@@ -232,8 +264,14 @@ int main() {
                 static_cast<double>(export_wall) / 1e6,
                 static_cast<double>(export_wall) /
                     static_cast<double>(from_seconds(session_s)) * 100.0);
+    report.metric(std::string("cadence.") + row.label + ".export_ms",
+                  static_cast<double>(export_wall) / 1e6, "ms",
+                  Better::kLower);
   }
   std::printf("\n(overhead%% = exporter wall time / 60 s session; the hot\n"
               " path cost is what instrumented components pay regardless)\n");
-  return per_write_gate(wall);
+  if (!per_write_gate(wall, report) || !report.write("BENCH_selfobs.json")) {
+    return 1;
+  }
+  return report.passed() ? 0 : 1;
 }

@@ -8,8 +8,9 @@
 // run over cache-line-friendly arrays and tag filtering is an integer
 // compare.  This ablation writes the same multi-tag-set workload into
 // both, measures write/scan/aggregate throughput and resident bytes per
-// point, verifies the answers stay bit-for-bit identical, and emits the
-// numbers as BENCH_storage.json next to the binary.
+// point, verifies the answers stay bit-for-bit identical, and writes the
+// numbers as BENCH_storage.json (bench/support/report.hpp) in the working
+// directory.
 //
 // With --packed it also runs the compression phase: an integral
 // monitoring workload (flags, enums, counters) through a bit-packed and a
@@ -18,14 +19,19 @@
 //
 // Usage: ablation_storage [--packed] [points] [tagsets] [fields]
 //        (default 1M/64/4)
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <string>
 
-#include "query/storage_bench.hpp"
+#include "support/report.hpp"
+#include "support/storage_bench.hpp"
+
+using pmove::bench::Better;
 
 int main(int argc, char** argv) {
-  pmove::query::StorageBenchConfig config;
+  pmove::bench::StorageBenchConfig config;
   int pos = 0;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--packed") == 0) {
@@ -46,18 +52,74 @@ int main(int argc, char** argv) {
     return 2;
   }
   std::printf("ABLATION: columnar TSDB vs seed row store\n\n");
-  const auto result = pmove::query::run_storage_bench(config);
-  pmove::query::print_report(result);
+  const auto r = pmove::bench::run_storage_bench(config);
+  pmove::bench::print_report(r);
 
-  const std::string json = pmove::query::to_json(result);
-  if (std::FILE* out = std::fopen("BENCH_storage.json", "w")) {
-    std::fwrite(json.data(), 1, json.size(), out);
-    std::fclose(out);
-    std::printf("\nwrote BENCH_storage.json\n");
-  } else {
-    std::fprintf(stderr, "cannot write BENCH_storage.json\n");
-    return 1;
+  pmove::bench::Report report(
+      "ablation_storage",
+      {{"points", static_cast<std::uint64_t>(config.points)},
+       {"tagsets", static_cast<std::uint64_t>(config.tagsets)},
+       {"fields", static_cast<std::uint64_t>(config.fields)},
+       {"packed", config.packed_phase},
+       {"rounds", pmove::bench::kStorageRounds},
+       {"packed_rounds", pmove::bench::kPackedRounds}});
+  const auto pair = [&](const std::string& name, double columnar,
+                        double row) {
+    report.metric(name + ".columnar_mps", columnar, "Mp/s", Better::kHigher);
+    report.metric(name + ".row_mps", row, "Mp/s", Better::kHigher);
+    report.metric(name + ".speedup", columnar / row, "x", Better::kHigher);
+  };
+  pair("write", r.columnar_write_mps, r.row_write_mps);
+  pair("aggregate", r.columnar_aggregate_mps, r.row_aggregate_mps);
+  pair("grouped", r.columnar_grouped_mps, r.row_grouped_mps);
+  pair("filtered", r.columnar_filtered_mps, r.row_filtered_mps);
+  pair("mixed_write", r.mixed_columnar_write_mps, r.mixed_row_write_mps);
+  pair("mixed_aggregate", r.mixed_columnar_aggregate_mps,
+       r.mixed_row_aggregate_mps);
+  report.metric("memory.columnar_bytes_per_point",
+                r.columnar_bytes_per_point, "B/point", Better::kLower);
+  report.metric("memory.row_bytes_per_point", r.row_bytes_per_point,
+                "B/point", Better::kLower);
+  if (r.packed_ran) {
+    const auto packed_pair = [&](const std::string& name, double packed,
+                                 double raw) {
+      report.metric("packed." + name + ".packed_mps", packed, "Mp/s",
+                    Better::kHigher);
+      report.metric("packed." + name + ".raw_mps", raw, "Mp/s",
+                    Better::kHigher);
+      report.metric("packed." + name + ".ratio", packed / raw, "x",
+                    Better::kHigher);
+    };
+    packed_pair("aggregate", r.packed_aggregate_mps,
+                r.unpacked_aggregate_mps);
+    packed_pair("grouped", r.packed_grouped_mps, r.unpacked_grouped_mps);
+    packed_pair("filtered", r.packed_filtered_mps, r.unpacked_filtered_mps);
+    report.metric("packed.memory.packed_bytes_per_point",
+                  r.packed_bytes_per_point, "B/point", Better::kLower);
+    report.metric("packed.memory.raw_bytes_per_point",
+                  r.unpacked_bytes_per_point, "B/point", Better::kLower);
   }
+
+  // CI gates: bit-for-bit parity in both phases, aggregate scans at least
+  // 8x the row store, and mixed-phase writes no slower than the row store.
+  report.gate("parity", r.parity_ok);
+  report.gate("mixed_parity", r.mixed_parity_ok);
+  report.gate("aggregate_speedup", r.aggregate_speedup(), 8.0,
+              Better::kHigher);
+  report.gate("mixed_write_ratio", r.mixed_write_ratio(), 1.0,
+              Better::kHigher);
+  // Compression-phase gates: the integral workload must pack at least 4x
+  // smaller than raw columns, answer every query shape bit-for-bit
+  // identically through the packed runs, and the fold kernels must hide
+  // most of the decode cost (packed aggregate scans within 20% of raw).
+  if (r.packed_ran) {
+    report.gate("packed_parity", r.packed_parity_ok);
+    report.gate("compression_ratio", r.compression_ratio(), 4.0,
+                Better::kHigher);
+    report.gate("packed_scan_ratio", r.packed_scan_ratio(), 0.8,
+                Better::kHigher);
+  }
+  if (!report.write("BENCH_storage.json")) return 1;
   std::printf(
       "\nTakeaway: aggregation over contiguous columns replaces a map\n"
       "lookup per point per field with a linear walk, and interned tag\n"
@@ -67,47 +129,5 @@ int main(int argc, char** argv) {
       "mixed phase (out-of-order writes with interleaved reads) holds\n"
       "write parity with the row store instead of paying a per-batch\n"
       "re-sort.\n");
-
-  // CI gates: bit-for-bit parity in both phases, aggregate scans at least
-  // 8x the row store, and mixed-phase writes no slower than the row store.
-  bool ok = true;
-  if (!result.parity_ok) {
-    std::fprintf(stderr, "GATE FAIL: in-order parity mismatch\n");
-    ok = false;
-  }
-  if (!result.mixed_parity_ok) {
-    std::fprintf(stderr, "GATE FAIL: mixed-phase parity mismatch\n");
-    ok = false;
-  }
-  if (result.aggregate_speedup() < 8.0) {
-    std::fprintf(stderr, "GATE FAIL: aggregate speedup %.2fx < 8x\n",
-                 result.aggregate_speedup());
-    ok = false;
-  }
-  if (result.mixed_write_ratio() < 1.0) {
-    std::fprintf(stderr, "GATE FAIL: mixed write ratio %.2fx < 1.0x\n",
-                 result.mixed_write_ratio());
-    ok = false;
-  }
-  // Compression-phase gates: the integral workload must pack at least 4x
-  // smaller than raw columns, answer every query shape bit-for-bit
-  // identically through the packed runs, and the fold kernels must hide
-  // most of the decode cost (packed aggregate scans within 20% of raw).
-  if (result.packed_ran) {
-    if (!result.packed_parity_ok) {
-      std::fprintf(stderr, "GATE FAIL: packed-phase parity mismatch\n");
-      ok = false;
-    }
-    if (result.compression_ratio() < 4.0) {
-      std::fprintf(stderr, "GATE FAIL: compression ratio %.2fx < 4x\n",
-                   result.compression_ratio());
-      ok = false;
-    }
-    if (result.packed_scan_ratio() < 0.8) {
-      std::fprintf(stderr, "GATE FAIL: packed scan ratio %.2f < 0.8\n",
-                   result.packed_scan_ratio());
-      ok = false;
-    }
-  }
-  return ok ? 0 : 1;
+  return report.passed() ? 0 : 1;
 }

@@ -20,7 +20,7 @@
 //                 hide the run structure entirely — query, fleet and bench
 //                 code never learn that runs exist.
 //   * collect() — compatibility wrapper that materializes Points from the
-//                 views for legacy callers (and the sharded merge path).
+//                 views for the fleet's exact gather and rebalance.
 //
 // Ordering: rows are merged by (time, arrival seq), the same total order
 // the seed row store maintained, so scans reproduce the seed's point
@@ -174,8 +174,7 @@ class TimeSeriesDb : public PointSink {
   void clear();
 
   /// Removes one measurement entirely; returns the number of dropped
-  /// points.  Used by the query engine to re-materialize downsample
-  /// targets.
+  /// points.
   std::size_t drop_measurement(std::string_view name);
 
   /// Removes one series (measurement + exact tag set); returns the number
@@ -210,7 +209,7 @@ class TimeSeriesDb : public PointSink {
   /// Copies of the points of `measurement` in [time_min, time_max] whose
   /// tags match every entry of `tag_filters`, in (time, arrival) order.
   /// Compatibility wrapper over scan() that materializes Points — the read
-  /// primitive of the sharded merge path and legacy callers.
+  /// primitive of the fleet's exact gather and rebalance.
   [[nodiscard]] std::vector<Point> collect(
       std::string_view measurement, TimeNs time_min, TimeNs time_max,
       const std::map<std::string, std::string>& tag_filters) const;

@@ -123,7 +123,7 @@ TEST(QueryRun, TypedMatchesLegacyStringPath) {
 }
 
 // The columnar run() path (scan + execute_columnar) against the row
-// evaluator (collect + execute) that the sharded merge still uses: same
+// evaluator (collect + execute) that the fleet's exact gather uses: same
 // slices, two code paths, answers must be bit-for-bit identical — raw
 // merges with equal timestamps across series included, because both sort
 // by (time, arrival seq).

@@ -17,15 +17,10 @@
 //   pmove cluster <preset> [preset...]       cluster session + job
 //   pmove record <preset> <kernel> <dir>     profile + save the session
 //   pmove replay <dir> <host>                reopen a recorded session
-//   pmove ingest-bench [n] [shards] [batch]  per-point DB vs ingest engine
-//   pmove query-bench [panels] [refr] [n] [w]  read-path head-to-head
 //   pmove fleet [--wire] [nodes] [series] [points]  execution-tier demo + chaos
-#include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "analysis/anomaly.hpp"
@@ -42,8 +37,6 @@
 #include "metrics/names.hpp"
 #include "metrics/registry.hpp"
 #include "query/engine.hpp"
-#include "query/parallel_bench.hpp"
-#include "query/storage_bench.hpp"
 #include "topology/prober.hpp"
 
 using namespace pmove;
@@ -72,17 +65,6 @@ int usage() {
       "table\n"
       "  metrics <preset> [hz] [met] [s]     session + self-telemetry "
       "registry\n"
-      "  ingest-bench [n] [shards] [batch] [producers] [--fault <spec>]\n"
-      "                                      per-point DB vs ingest engine\n"
-      "  query-bench [panels] [refr] [n] [w] string vs typed vs cached reads\n"
-      "  query-bench --threads N [--series N] [--points N]\n"
-      "                                      parallel evaluator sweep vs\n"
-      "                                      1-thread parity baseline\n"
-      "  storage-bench [--packed] [n] [tagsets] [fields]\n"
-      "                                      columnar engine vs seed row "
-      "store\n"
-      "                                      (--packed: + compression "
-      "phase)\n"
       "  fleet [--wire] [nodes] [series] [points]\n"
       "                                      execution-tier demo: sharded\n"
       "                                      writes, scatter/gather, chaos\n"
@@ -540,409 +522,6 @@ int cmd_metrics(int argc, char** argv) {
   return 0;
 }
 
-// Head-to-head of the seed write path (one TimeSeriesDb::write per point)
-// against the ingest engine (sharded queues + write_batch), over the same
-// synthetic point stream.
-// Builds one producer's worth of sampler-shaped points.  Each producer owns a
-// disjoint set of hosts so the two runs ingest identical series sets.
-std::vector<tsdb::Point> ingest_bench_stream(std::size_t producer,
-                                             std::size_t count) {
-  std::vector<tsdb::Point> stream;
-  stream.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    tsdb::Point point;
-    point.measurement = "hw_UNHALTED_CORE_CYCLES";
-    point.tags["host"] = "node" + std::to_string(producer * 16 + i % 16);
-    point.time = static_cast<TimeNs>(i) * 1'000'000;
-    for (int f = 0; f < 4; ++f) {
-      point.fields["_cpu" + std::to_string(f)] =
-          static_cast<double>((i * 37 + static_cast<std::size_t>(f)) % 9973);
-    }
-    stream.push_back(std::move(point));
-  }
-  return stream;
-}
-
-int cmd_ingest_bench(int argc, char** argv) {
-  // --fault <spec> arms fault injection for the engine phase only (the
-  // per-point baseline has no resilience tier to exercise): injected sink
-  // errors show up as throughput degradation, never as lost points — the
-  // point-count equality check below still has to hold.
-  std::string fault_spec;
-  std::vector<char*> args(argv, argv + argc);
-  for (std::size_t i = 2; i < args.size();) {
-    if (std::strcmp(args[i], "--fault") == 0 && i + 1 < args.size()) {
-      fault_spec = args[i + 1];
-      args.erase(args.begin() + static_cast<std::ptrdiff_t>(i),
-                 args.begin() + static_cast<std::ptrdiff_t>(i) + 2);
-    } else {
-      ++i;
-    }
-  }
-  argc = static_cast<int>(args.size());
-  argv = args.data();
-
-  // Default kept modest: the seed per-point path degrades quadratically on
-  // the interleaved timestamps concurrent producers generate, so large point
-  // counts mostly measure that pathology for minutes.
-  const std::size_t total = argc > 2
-                                ? static_cast<std::size_t>(std::atoll(argv[2]))
-                                : 50'000;
-  if (total == 0) {
-    std::fprintf(stderr,
-                 "ingest-bench: <points> must be a positive number, got "
-                 "'%s'\n",
-                 argv[2]);
-    return 2;
-  }
-  const int shards = argc > 3
-                         ? std::max(1, std::atoi(argv[3]))
-                         : static_cast<int>(std::min(
-                               8u, std::max(2u,
-                                            std::thread::hardware_concurrency() /
-                                                2)));
-  const std::size_t batch_size =
-      argc > 4 ? static_cast<std::size_t>(std::atoll(argv[4])) : 512;
-  const std::size_t producers =
-      argc > 5 ? std::max<std::size_t>(1, static_cast<std::size_t>(
-                                              std::atoll(argv[5])))
-               : static_cast<std::size_t>(shards);
-  const std::size_t per_producer = total / producers;
-
-  using Clock = std::chrono::steady_clock;
-
-  // Baseline: the seed write path.  Concurrent samplers all call
-  // TimeSeriesDb::write once per point against the single shared instance.
-  tsdb::TimeSeriesDb baseline_db;
-  double base_s = 0.0;
-  {
-    std::vector<std::vector<tsdb::Point>> streams;
-    for (std::size_t p = 0; p < producers; ++p) {
-      streams.push_back(ingest_bench_stream(p, per_producer));
-    }
-    const auto start = Clock::now();
-    std::vector<std::thread> threads;
-    for (std::size_t p = 0; p < producers; ++p) {
-      threads.emplace_back([&baseline_db, &stream = streams[p]] {
-        for (tsdb::Point& point : stream) {
-          (void)baseline_db.write(std::move(point));
-        }
-      });
-    }
-    for (auto& t : threads) t.join();
-    base_s = std::chrono::duration<double>(Clock::now() - start).count();
-  }
-
-  // Engine: the same producers hand batches to the sharded ingest tier.
-  if (!fault_spec.empty()) {
-    if (Status s = fault::arm_from_spec(fault_spec); !s.is_ok()) {
-      std::fprintf(stderr, "--fault rejected: %s\n", s.to_string().c_str());
-      return 2;
-    }
-  }
-  ingest::IngestOptions options;
-  options.shard_count = shards;
-  options.queue_capacity = 256;
-  options.policy = ingest::BackpressurePolicy::kBlock;
-  // Short cooldown so an injected outage costs milliseconds of parking,
-  // not the default 250 ms per breaker trip.
-  options.sink_breaker.open_cooldown_ns = 20'000'000;
-  ingest::IngestEngine engine(options);
-  if (auto s = engine.open(); !s.is_ok()) {
-    std::fprintf(stderr, "%s\n", s.to_string().c_str());
-    return 1;
-  }
-  double engine_s = 0.0;
-  {
-    std::vector<std::vector<tsdb::Point>> streams;
-    for (std::size_t p = 0; p < producers; ++p) {
-      streams.push_back(ingest_bench_stream(p, per_producer));
-    }
-    const auto start = Clock::now();
-    std::vector<std::thread> threads;
-    for (std::size_t p = 0; p < producers; ++p) {
-      threads.emplace_back([&engine, &stream = streams[p], batch_size] {
-        for (std::size_t begin = 0; begin < stream.size();
-             begin += batch_size) {
-          const std::size_t end = std::min(stream.size(), begin + batch_size);
-          std::vector<tsdb::Point> batch(
-              std::make_move_iterator(stream.begin() +
-                                      static_cast<std::ptrdiff_t>(begin)),
-              std::make_move_iterator(stream.begin() +
-                                      static_cast<std::ptrdiff_t>(end)));
-          (void)engine.submit(std::move(batch));
-        }
-      });
-    }
-    for (auto& t : threads) t.join();
-    (void)engine.flush();
-    engine_s = std::chrono::duration<double>(Clock::now() - start).count();
-  }
-
-  if (engine.point_count() != baseline_db.point_count()) {
-    std::fprintf(stderr, "point count mismatch: engine %zu vs baseline %zu\n",
-                 engine.point_count(), baseline_db.point_count());
-    return 1;
-  }
-
-  const double written = static_cast<double>(per_producer * producers);
-  const double base_tput = written / base_s;
-  const double engine_tput = written / engine_s;
-  std::printf("points: %zu   shards: %d   batch: %zu   producers: %zu\n",
-              per_producer * producers, shards, batch_size, producers);
-  std::printf("%-34s %10.2fs %12.0f points/s\n",
-              "per-point TimeSeriesDb::write", base_s, base_tput);
-  std::printf("%-34s %10.2fs %12.0f points/s\n", "ingest engine (batched)",
-              engine_s, engine_tput);
-  std::printf("speedup: %.1fx\n", engine_tput / base_tput);
-  const auto stats = engine.stats();
-  std::printf("engine: %llu batches, max queue depth %zu, %llu blocked\n",
-              static_cast<unsigned long long>(stats.submitted_batches),
-              stats.max_queue_depth,
-              static_cast<unsigned long long>(stats.blocked_submits));
-  if (!fault_spec.empty()) {
-    std::printf("faults: %llu sink failures -> %llu points parked, "
-                "%llu replayed, 0 lost\n",
-                static_cast<unsigned long long>(stats.sink_failures),
-                static_cast<unsigned long long>(stats.parked_points),
-                static_cast<unsigned long long>(stats.replayed_points));
-    for (const auto& point : fault::stats()) {
-      std::printf("  %-20s %-26s fired %llu of %llu triggers\n",
-                  point.name.c_str(), point.spec.to_string().c_str(),
-                  static_cast<unsigned long long>(point.fires),
-                  static_cast<unsigned long long>(point.triggers));
-    }
-    fault::disarm_all();
-  }
-  engine.close();
-  return 0;
-}
-
-// Parallel-execution spot check: the interactive face of
-// bench/ablation_query (same harness, no JSON artifact), narrowed to one
-// (threads, series) cell plus its single-thread parity baseline.
-int cmd_query_bench_parallel(int argc, char** argv) {
-  query::QueryBenchConfig config;
-  std::size_t threads = 0;
-  std::size_t series = 0;
-  for (int i = 2; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0) {
-      threads = static_cast<std::size_t>(std::atoll(argv[i + 1]));
-    } else if (std::strcmp(argv[i], "--series") == 0) {
-      series = static_cast<std::size_t>(std::atoll(argv[i + 1]));
-    } else if (std::strcmp(argv[i], "--points") == 0) {
-      config.total_points = static_cast<std::size_t>(std::atoll(argv[i + 1]));
-    }
-  }
-  if (threads == 0 && series == 0) return usage();
-  if (series != 0) config.series_counts = {series};
-  if (threads <= 1) {
-    config.threads = {1};
-  } else {
-    config.threads = {1, threads};  // 1 stays in: the parity baseline
-  }
-  const auto result = query::run_query_bench(config);
-  query::print_report(result);
-  return result.all_ok() ? 0 : 1;
-}
-
-// Head-to-head of the read paths over dashboard-shaped queries: the seed
-// string path (reparse + rescan every refresh), the typed path (prebuilt
-// Query, rescan every refresh), and the query engine (prebuilt Query +
-// epoch-keyed result cache).  Background producers batch-write into their
-// own measurements the whole time, so every path also contends with live
-// ingestion through the DB's shared_mutex — the recorded-observation
-// dashboard shape, where refreshed panels aren't the series being written.
-// With --threads/--series it instead runs the parallel-evaluator sweep
-// (cmd_query_bench_parallel above).
-int cmd_query_bench(int argc, char** argv) {
-  for (int i = 2; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0 ||
-        std::strcmp(argv[i], "--series") == 0) {
-      return cmd_query_bench_parallel(argc, argv);
-    }
-  }
-  const std::size_t panels =
-      argc > 2 ? std::max<std::size_t>(
-                     1, static_cast<std::size_t>(std::atoll(argv[2])))
-               : 16;
-  const std::size_t refreshes =
-      argc > 3 ? std::max<std::size_t>(
-                     1, static_cast<std::size_t>(std::atoll(argv[3])))
-               : 100;
-  const std::size_t total_points =
-      argc > 4 ? std::max<std::size_t>(
-                     panels, static_cast<std::size_t>(std::atoll(argv[4])))
-               : 100'000;
-  const std::size_t producers =
-      argc > 5 ? static_cast<std::size_t>(std::atoll(argv[5])) : 2;
-  const std::size_t per_panel = total_points / panels;
-
-  tsdb::TimeSeriesDb db;
-  for (std::size_t p = 0; p < panels; ++p) {
-    std::vector<tsdb::Point> batch;
-    batch.reserve(per_panel);
-    for (std::size_t i = 0; i < per_panel; ++i) {
-      tsdb::Point point;
-      point.measurement = "hw_PANEL_EVENT_" + std::to_string(p);
-      point.tags["tag"] = "bench";
-      point.time = static_cast<TimeNs>(i) * 50'000'000;  // 20 Hz sampling
-      for (int f = 0; f < 4; ++f) {
-        point.fields["_cpu" + std::to_string(f)] =
-            static_cast<double>((i * 31 + static_cast<std::size_t>(f)) % 997);
-      }
-      batch.push_back(std::move(point));
-    }
-    if (auto s = db.write_batch(std::move(batch)); !s.is_ok()) {
-      std::fprintf(stderr, "%s\n", s.to_string().c_str());
-      return 1;
-    }
-  }
-
-  // The queries a KB-generated dashboard refreshes: raw Listing-3 panels
-  // (SELECT * ... WHERE tag=...) alternating with Grafana-style downsample
-  // panels (mean over GROUP BY time(1s) windows).
-  std::vector<std::string> texts;
-  std::vector<query::Query> queries;
-  for (std::size_t p = 0; p < panels; ++p) {
-    query::QueryBuilder builder("hw_PANEL_EVENT_" + std::to_string(p));
-    if (p % 2 == 0) {
-      builder.select_all();
-    } else {
-      for (int f = 0; f < 4; ++f) {
-        builder.select(query::Aggregate::kMean, "_cpu" + std::to_string(f));
-      }
-      builder.group_by_time(kNsPerSec);
-    }
-    builder.where_tag("tag", "bench");
-    query::Query q = std::move(builder).build();
-    texts.push_back(q.to_string());
-    queries.push_back(std::move(q));
-  }
-
-  // Each path refreshes every panel `refreshes` times while producers
-  // batch-write into their own measurements (refreshed panels stay
-  // cache-valid while writers contend for the lock — the recorded-
-  // observation dashboard shape).  Producers start fresh and their series
-  // are dropped per section, so all three paths run against identical DB
-  // state despite running back to back.
-  using Clock = std::chrono::steady_clock;
-  std::uint64_t produced_total = 0;
-  const auto run_section = [&](auto&& run_one) {
-    std::atomic<bool> stop{false};
-    std::atomic<std::uint64_t> produced{0};
-    std::vector<std::thread> writers;
-    for (std::size_t p = 0; p < producers; ++p) {
-      writers.emplace_back([&db, &stop, &produced, p] {
-        std::size_t i = 0;
-        while (!stop.load(std::memory_order_relaxed)) {
-          std::vector<tsdb::Point> batch;
-          batch.reserve(256);
-          for (std::size_t j = 0; j < 256; ++j, ++i) {
-            tsdb::Point point;
-            point.measurement = "sw_live_ingest_" + std::to_string(p);
-            point.time = static_cast<TimeNs>(i) * 1'000'000;
-            point.fields["value"] = static_cast<double>(i % 1013);
-            batch.push_back(std::move(point));
-          }
-          (void)db.write_batch(std::move(batch));
-          produced.fetch_add(256, std::memory_order_relaxed);
-          // Sampler-shaped cadence: batches arrive periodically, they
-          // don't spin on the write lock.
-          std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        }
-      });
-    }
-    std::size_t rows = 0;
-    const auto start = Clock::now();
-    for (std::size_t r = 0; r < refreshes; ++r) {
-      for (std::size_t p = 0; p < panels; ++p) rows += run_one(p);
-    }
-    const double seconds =
-        std::chrono::duration<double>(Clock::now() - start).count();
-    stop.store(true);
-    for (auto& t : writers) t.join();
-    produced_total += produced.load();
-    for (std::size_t p = 0; p < producers; ++p) {
-      (void)db.drop_measurement("sw_live_ingest_" + std::to_string(p));
-    }
-    return std::make_pair(seconds, rows);
-  };
-
-  const auto [string_s, string_rows] = run_section([&](std::size_t p) {
-    return query::run(db, texts[p])
-        .map([](const tsdb::QueryResult& r) { return r.rows.size(); })
-        .value_or(0);
-  });
-  const auto [typed_s, typed_rows] = run_section([&](std::size_t p) {
-    return query::run(db, queries[p])
-        .map([](const tsdb::QueryResult& r) { return r.rows.size(); })
-        .value_or(0);
-  });
-  query::QueryEngine engine(db);
-  const auto [cached_s, cached_rows] = run_section([&](std::size_t p) {
-    return engine.run(queries[p])
-        .map([](const tsdb::QueryResult& r) { return r.rows.size(); })
-        .value_or(0);
-  });
-
-  if (string_rows != typed_rows || typed_rows != cached_rows) {
-    std::fprintf(stderr, "row mismatch: string %zu typed %zu cached %zu\n",
-                 string_rows, typed_rows, cached_rows);
-    return 1;
-  }
-
-  const double executed = static_cast<double>(panels * refreshes);
-  const auto report = [executed](const char* label, double seconds) {
-    std::printf("%-34s %9.3fs %12.0f queries/s\n", label, seconds,
-                executed / seconds);
-  };
-  std::printf("panels: %zu   refreshes: %zu   points/panel: %zu   "
-              "producers: %zu\n",
-              panels, refreshes, per_panel, producers);
-  report("string path (reparse + rescan)", string_s);
-  report("typed Query (rescan)", typed_s);
-  report("query engine (result cache)", cached_s);
-  std::printf("typed vs string (cache-cold): %.2fx\n", string_s / typed_s);
-  std::printf("engine vs string (cache-warm): %.1fx\n", string_s / cached_s);
-  const auto stats = engine.stats();
-  std::printf("engine: %llu queries, %llu hits, %llu misses; "
-              "%llu points ingested concurrently\n",
-              static_cast<unsigned long long>(stats.queries),
-              static_cast<unsigned long long>(stats.cache_hits),
-              static_cast<unsigned long long>(stats.cache_misses),
-              static_cast<unsigned long long>(produced_total));
-  return 0;
-}
-
-// Columnar engine vs the seed row store on one multi-tag-set workload:
-// the interactive face of bench/ablation_storage (same harness, no JSON
-// artifact) for spot-checking the storage numbers on a new machine.
-int cmd_storage_bench(int argc, char** argv) {
-  query::StorageBenchConfig config;
-  int arg = 2;
-  if (arg < argc && std::strcmp(argv[arg], "--packed") == 0) {
-    config.packed_phase = true;
-    ++arg;
-  }
-  if (arg < argc) {
-    config.points = static_cast<std::size_t>(std::atoll(argv[arg++]));
-  }
-  if (arg < argc) {
-    config.tagsets = static_cast<std::size_t>(std::atoll(argv[arg++]));
-  }
-  if (arg < argc) {
-    config.fields = static_cast<std::size_t>(std::atoll(argv[arg++]));
-  }
-  if (config.points == 0 || config.tagsets == 0 || config.fields == 0) {
-    return usage();
-  }
-  const auto result = query::run_storage_bench(config);
-  query::print_report(result);
-  if (result.packed_ran && !result.packed_parity_ok) return 1;
-  return result.parity_ok ? 0 : 1;
-}
-
 // Fleet execution tier end to end: N nodes behind the consistent-hash
 // router, synthetic series sharded across them, an exact gather and a
 // pushdown gather, then chaos — kill one node, show the degraded result
@@ -1121,9 +700,6 @@ int main(int argc, char** argv) {
   if (command == "replay") return cmd_replay(argc, argv);
   if (command == "health") return cmd_health(argc, argv);
   if (command == "metrics") return cmd_metrics(argc, argv);
-  if (command == "ingest-bench") return cmd_ingest_bench(argc, argv);
-  if (command == "query-bench") return cmd_query_bench(argc, argv);
-  if (command == "storage-bench") return cmd_storage_bench(argc, argv);
   if (command == "fleet") return cmd_fleet(argc, argv);
   return usage();
 }
