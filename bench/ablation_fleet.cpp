@@ -8,7 +8,8 @@
 // sweeps the node count over the same many-series workload and measures
 // all three: routed-write throughput and placement imbalance per fleet
 // size, exact + pushdown gather latency, a parity gate against the fat
-// node, and a node-kill chaos pass that must complete degraded.  Results
+// node (exact, pushdown and grouped pushdown answers), and a node-kill
+// chaos pass that must complete degraded.  Results
 // land in BENCH_fleet.json in the working directory.
 //
 // With --wire the same sweep runs twice per fleet size — once over the
@@ -22,6 +23,7 @@
 //        (default 1000000 series x 1 point, fleets of 10,25,50,100;
 //         --wire defaults to 100000 series, fleets of 4,8,16)
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -69,10 +71,21 @@ std::vector<tsdb::Point> workload(std::size_t series,
   return batch;
 }
 
-/// The fleet's parity verdict: the same columns, and every value `==` its
-/// counterpart — no epsilon, and NaN never equals NaN.
+/// The fleet's parity verdict: the same columns, and every value
+/// bit-equal to its counterpart — no epsilon, and the sign of zero and a
+/// NaN's bits count.
 bool rows_equal(const tsdb::QueryResult& a, const tsdb::QueryResult& b) {
-  return a.columns == b.columns && a.rows == b.rows;
+  if (a.columns != b.columns || a.rows.size() != b.rows.size()) return false;
+  for (std::size_t r = 0; r < a.rows.size(); ++r) {
+    if (a.rows[r].size() != b.rows[r].size()) return false;
+    for (std::size_t c = 0; c < a.rows[r].size(); ++c) {
+      if (std::bit_cast<std::uint64_t>(a.rows[r][c]) !=
+          std::bit_cast<std::uint64_t>(b.rows[r][c])) {
+        return false;
+      }
+    }
+  }
+  return true;
 }
 
 struct FleetRow {
@@ -91,8 +104,10 @@ struct FleetRow {
 struct GroundTruth {
   const query::Query* exact_q = nullptr;
   const query::Query* push_q = nullptr;
+  const query::Query* grouped_q = nullptr;  ///< grouped max + count
   const tsdb::QueryResult* exact = nullptr;
   const tsdb::QueryResult* push = nullptr;
+  const tsdb::QueryResult* grouped = nullptr;
 };
 
 // One fleet at one size, over whichever transport `options` selects:
@@ -145,15 +160,20 @@ FleetRow run_fleet(fleet::FleetOptions options, int n, std::size_t series,
       static_cast<double>(total_points) / static_cast<double>(n);
   row.imbalance = static_cast<double>(max_node_points) / ideal;
 
-  // The parity gate, then scatter/gather latency.  Every timed gather
-  // must also come back whole (and pushed down), so a fast error or a
-  // degraded reply cannot set the fastest time.
+  // The parity gate, then scatter/gather latency.  Both pushdown shapes,
+  // ungrouped and grouped, must come back pushed down.  Every timed
+  // gather must also come back whole (and pushed down), so a fast error
+  // or a degraded reply cannot set the fastest time.
   auto exact = fleet.query(*truth.exact_q);
   auto push = fleet.query(*truth.push_q);
+  auto grouped = fleet.query(*truth.grouped_q);
   row.parity_ok = exact.has_value() && push.has_value() &&
-                  !exact->degraded() && !push->degraded() &&
-                  push->pushdown && rows_equal(exact->result, *truth.exact) &&
-                  rows_equal(push->result, *truth.push);
+                  grouped.has_value() && !exact->degraded() &&
+                  !push->degraded() && !grouped->degraded() &&
+                  push->pushdown && grouped->pushdown &&
+                  rows_equal(exact->result, *truth.exact) &&
+                  rows_equal(push->result, *truth.push) &&
+                  rows_equal(grouped->result, *truth.grouped);
   bool timed_ok = true;
   const bench::AbTimes gather = bench::run_ab(
       kGatherRounds,
@@ -242,6 +262,11 @@ int main(int argc, char** argv) {
                                   .select(query::Aggregate::kMax, "value")
                                   .select(query::Aggregate::kCount, "value")
                                   .build();
+  const query::Query grouped_q = query::QueryBuilder("fleet_bench")
+                                     .select(query::Aggregate::kMax, "value")
+                                     .select(query::Aggregate::kCount, "value")
+                                     .group_by_time(1'000'000)
+                                     .build();
   tsdb::TimeSeriesDb fat;
   if (!fat.write_batch(workload(series, per_series)).is_ok()) {
     std::fprintf(stderr, "fat node write failed\n");
@@ -249,11 +274,14 @@ int main(int argc, char** argv) {
   }
   const auto fat_exact = query::run(fat, exact_q);
   const auto fat_push = query::run(fat, push_q);
-  if (!fat_exact.has_value() || !fat_push.has_value()) {
+  const auto fat_grouped = query::run(fat, grouped_q);
+  if (!fat_exact.has_value() || !fat_push.has_value() ||
+      !fat_grouped.has_value()) {
     std::fprintf(stderr, "fat node query failed\n");
     return 1;
   }
-  GroundTruth truth{&exact_q, &push_q, &*fat_exact, &*fat_push};
+  GroundTruth truth{&exact_q,    &push_q,    &grouped_q,
+                    &*fat_exact, &*fat_push, &*fat_grouped};
 
   std::printf("%6s %8s %10s %14s %11s %10s %10s %7s %6s\n", "nodes", "wire",
               "write_s", "write_pts/s", "imbalance", "exact_ms", "push_ms",

@@ -7,7 +7,7 @@
 // fold in parallel morsels on the shared TaskPool, and the partials merge
 // in serial-equivalent order — so the answer is bit-for-bit identical to
 // PMOVE_QUERY_THREADS=1 at any thread count.  This ablation sweeps thread
-// count x series cardinality over the four parallelized query shapes,
+// count x series cardinality over the parallelized query shapes,
 // times each against 1 thread, bit-compares every cell against its
 // single-thread baseline, checks the index's probe accounting, and writes
 // BENCH_query.json in the working directory.
@@ -69,6 +69,7 @@ int main(int argc, char** argv) {
     };
     shape("aggregate", c.aggregate, "mps", "Mp/s");
     shape("grouped", c.grouped, "mps", "Mp/s");
+    shape("grouped_max", c.grouped_max, "mps", "Mp/s");
     shape("raw", c.raw, "mps", "Mp/s");
     shape("filtered", c.filtered, "qps", "queries/s");
   }

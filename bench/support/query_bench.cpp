@@ -103,6 +103,9 @@ QueryBenchResult run_query_bench(const QueryBenchConfig& config) {
     const Query q_grouped =
         parse_or_die(R"(SELECT mean("f0") FROM "bench_q" GROUP BY time()" +
                      std::to_string(interval) + "ns)");
+    const Query q_grouped_max = parse_or_die(
+        R"(SELECT max("f0"), count("f0") FROM "bench_q" GROUP BY time()" +
+        std::to_string(interval) + "ns)");
     const Query q_raw =
         parse_or_die(R"(SELECT "f0" FROM "bench_q" WHERE time >= 0 )" +
                      ("AND time <= " + std::to_string(span / 10)));
@@ -119,6 +122,7 @@ QueryBenchResult run_query_bench(const QueryBenchConfig& config) {
     const auto base_agg = run(db, q_agg, serial_opts);
     const auto base_all8 = run(db, q_all8, serial_opts);
     const auto base_grouped = run(db, q_grouped, serial_opts);
+    const auto base_grouped_max = run(db, q_grouped_max, serial_opts);
     const auto base_raw = run(db, q_raw, serial_opts);
     const auto base_filtered = run(db, q_filtered(series / 2), serial_opts);
 
@@ -131,8 +135,8 @@ QueryBenchResult run_query_bench(const QueryBenchConfig& config) {
       cell.series = series;
       cell.threads = threads;
 
-      cell.parity_ok =
-          base_agg && base_all8 && base_grouped && base_raw && base_filtered;
+      cell.parity_ok = base_agg && base_all8 && base_grouped &&
+                       base_grouped_max && base_raw && base_filtered;
       const auto check = [&](const Query& q,
                              const Expected<tsdb::QueryResult>& base) {
         const auto got = run(db, q, opts);
@@ -143,6 +147,7 @@ QueryBenchResult run_query_bench(const QueryBenchConfig& config) {
       check(q_agg, base_agg);
       check(q_all8, base_all8);
       check(q_grouped, base_grouped);
+      check(q_grouped_max, base_grouped_max);
       check(q_raw, base_raw);
       check(q_filtered(series / 2), base_filtered);
 
@@ -181,6 +186,9 @@ QueryBenchResult run_query_bench(const QueryBenchConfig& config) {
       cell.grouped = pair(points_m, [&](const ExecOptions& o) {
         (void)run(db, q_grouped, o);
       });
+      cell.grouped_max = pair(points_m, [&](const ExecOptions& o) {
+        (void)run(db, q_grouped_max, o);
+      });
       cell.raw = pair(static_cast<double>(total / 10 + series) / 1e6,
                       [&](const ExecOptions& o) { (void)run(db, q_raw, o); });
       constexpr std::size_t kFilteredPerRun = 32;
@@ -208,16 +216,18 @@ void print_report(const QueryBenchResult& r) {
               "against 1 thread,\n fastest of %d alternating rounds; x = "
               "speedup over 1 thread)\n\n",
               r.config.total_points, r.hardware_threads, r.config.repeats);
-  std::printf("%8s %8s %10s %6s %11s %6s %10s %6s %13s %6s %7s\n", "series",
-              "threads", "agg Mp/s", "x", "group Mp/s", "x", "raw Mp/s", "x",
-              "filtered q/s", "x", "parity");
+  std::printf("%8s %8s %10s %6s %11s %6s %10s %6s %10s %6s %13s %6s %7s\n",
+              "series", "threads", "agg Mp/s", "x", "group Mp/s", "x",
+              "gmax Mp/s", "x", "raw Mp/s", "x", "filtered q/s", "x",
+              "parity");
   for (const QueryBenchCell& c : r.cells) {
     std::printf(
-        "%8zu %8zu %10.2f %5.2fx %11.2f %5.2fx %10.2f %5.2fx %13.0f %5.2fx "
-        "%7s\n",
+        "%8zu %8zu %10.2f %5.2fx %11.2f %5.2fx %10.2f %5.2fx %10.2f %5.2fx "
+        "%13.0f %5.2fx %7s\n",
         c.series, c.threads, c.aggregate.many, c.aggregate.speedup(),
-        c.grouped.many, c.grouped.speedup(), c.raw.many, c.raw.speedup(),
-        c.filtered.many, c.filtered.speedup(), c.parity_ok ? "ok" : "FAIL");
+        c.grouped.many, c.grouped.speedup(), c.grouped_max.many,
+        c.grouped_max.speedup(), c.raw.many, c.raw.speedup(), c.filtered.many,
+        c.filtered.speedup(), c.parity_ok ? "ok" : "FAIL");
   }
   std::printf("\nparity: %s\n", r.parity_ok
                                     ? "every cell bit-for-bit == 1 thread"

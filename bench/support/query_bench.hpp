@@ -1,9 +1,10 @@
 // Parallel query-execution benchmark harness (bench/ablation_query).
 //
 // Sweeps thread count x series cardinality over one measurement and times
-// the four query shapes the morsel-driven evaluator parallelizes:
-// ungrouped partial-exact aggregates (min/max/count), grouped mean,
-// inverted-index tag-filtered count, and bounded raw scans.  Every cell
+// the query shapes the morsel-driven evaluator parallelizes: ungrouped
+// partial-exact aggregates (min/max/count), grouped mean, grouped
+// max/count (per-bucket partials), inverted-index tag-filtered count, and
+// bounded raw scans.  Every cell
 // times each shape as a run_ab() pair, 1 thread against the cell's thread
 // count, and bit-compares every answer against the single-thread one (the
 // determinism contract).  The tag-filtered queries check the inverted
@@ -43,6 +44,7 @@ struct QueryBenchCell {
   std::size_t threads = 0;
   ThreadPair aggregate;  ///< min/max/count over every row
   ThreadPair grouped;    ///< GROUP BY time() mean
+  ThreadPair grouped_max;  ///< GROUP BY time() max + count
   ThreadPair raw;        ///< bounded raw scan (~10% of the range)
   ThreadPair filtered;   ///< single-series tag filter, via the index
   /// Every query shape (plus an all-8-aggregate probe) matched this

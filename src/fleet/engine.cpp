@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <optional>
+#include <string_view>
 #include <utility>
 
 #include "fault/fault.hpp"
@@ -16,6 +17,23 @@ namespace pmove::fleet {
 
 namespace {
 using SteadyClock = std::chrono::steady_clock;
+
+// Grouped pushdown merges node rows by bucket stamp, and stamps cross the
+// wire as doubles.  Distinct int64 bucket starts lie at least one interval
+// apart, and adjacent doubles below 2^63 are at most 1,024 apart, so above
+// this interval distinct buckets keep distinct, ordered stamps.  Shorter
+// intervals take the exact gather.
+constexpr TimeNs kMinPushdownInterval = 1024;
+
+bool is_extreme(query::Aggregate aggregate) {
+  return aggregate == query::Aggregate::kMin ||
+         aggregate == query::Aggregate::kMax;
+}
+
+metrics::Counter& engine_counter(std::string_view field) {
+  return metrics::Registry::global().counter(metrics::kMeasurementFleet,
+                                             "engine", field);
+}
 }  // namespace
 
 /// One node's slot in an in-flight scatter.  Shared (via shared_ptr) with
@@ -40,7 +58,13 @@ struct FleetQueryEngine::Scatter {
 
 FleetQueryEngine::FleetQueryEngine(Transport* transport,
                                    FleetQueryOptions options)
-    : transport_(transport), options_(options) {}
+    : transport_(transport),
+      options_(options),
+      queries_(engine_counter("queries")),
+      pushdown_queries_(engine_counter("pushdown_queries")),
+      degraded_queries_(engine_counter("degraded_queries")),
+      nodes_missing_(engine_counter("nodes_missing")),
+      query_errors_(engine_counter("query_errors")) {}
 
 FleetQueryEngine::~FleetQueryEngine() {
   std::unique_lock lk(inflight_->m);
@@ -214,9 +238,12 @@ Expected<FleetQueryResult> FleetQueryEngine::query(
   if (nodes.empty()) {
     return Status::unavailable("fleet: no nodes to query");
   }
-  query::Plan plan = query::make_plan(q);
+  const query::Plan plan = query::make_plan(q);
   const bool pushdown_ok =
-      options_.pushdown && plan.kind == query::PlanKind::kAggregate &&
+      options_.pushdown &&
+      (plan.kind == query::PlanKind::kAggregate ||
+       (plan.kind == query::PlanKind::kGroupedAggregate &&
+        q.group_interval > kMinPushdownInterval)) &&
       !q.select_all && !q.selectors.empty() &&
       std::all_of(q.selectors.begin(), q.selectors.end(),
                   [](const query::Selector& s) {
@@ -225,22 +252,15 @@ Expected<FleetQueryResult> FleetQueryEngine::query(
   auto result =
       pushdown_ok ? query_pushdown(plan, nodes) : query_exact(plan, nodes);
 
-  auto& registry = metrics::Registry::global();
   if (result) {
-    registry.counter(metrics::kMeasurementFleet, "engine", "queries").inc();
-    if (result->pushdown) {
-      registry.counter(metrics::kMeasurementFleet, "engine", "pushdown_queries")
-          .inc();
-    }
+    queries_.inc();
+    if (result->pushdown) pushdown_queries_.inc();
     if (result->degraded()) {
-      registry.counter(metrics::kMeasurementFleet, "engine", "degraded_queries")
-          .inc();
-      registry.counter(metrics::kMeasurementFleet, "engine", "nodes_missing")
-          .add(result->nodes_missing.size());
+      degraded_queries_.inc();
+      nodes_missing_.add(result->nodes_missing.size());
     }
   } else {
-    registry.counter(metrics::kMeasurementFleet, "engine", "query_errors")
-        .inc();
+    query_errors_.inc();
   }
   return result;
 }
@@ -293,11 +313,32 @@ Expected<FleetQueryResult> FleetQueryEngine::query_exact(
 
 Expected<FleetQueryResult> FleetQueryEngine::query_pushdown(
     const query::Plan& plan, const std::vector<std::string>& nodes) {
+  // Nodes also count every min/max field, so that a NaN extreme tells
+  // "field absent on this node" (NaN count) from "the node's first value
+  // is NaN".  The added columns are dropped from the answer.
+  query::Query node_q = plan.query;
+  const std::size_t shown = node_q.selectors.size();
+  std::vector<std::size_t> count_col(shown, 0);
+  for (std::size_t j = 0; j < shown; ++j) {
+    if (!is_extreme(node_q.selectors[j].aggregate)) continue;
+    const std::string field = node_q.selectors[j].field;
+    const auto counted = std::find_if(
+        node_q.selectors.begin(), node_q.selectors.end(),
+        [&](const query::Selector& s) {
+          return s.aggregate == query::Aggregate::kCount && s.field == field;
+        });
+    count_col[j] =
+        static_cast<std::size_t>(counted - node_q.selectors.begin());
+    if (counted == node_q.selectors.end()) {
+      node_q.selectors.push_back({field, query::Aggregate::kCount});
+    }
+  }
+
   FleetQueryResult out;
   out.pushdown = true;
   std::vector<std::pair<std::string, NodePartial>> partials;
   auto sc = scatter<NodePartial>(
-      nodes, [this, q = plan.query](const std::string& node) {
+      nodes, [this, q = node_q](const std::string& node) {
         return transport_->execute(node, q);
       });
   gather(*sc, partials, out);
@@ -311,54 +352,92 @@ Expected<FleetQueryResult> FleetQueryEngine::query_pushdown(
     return Status::not_found("measurement not found: " +
                              plan.query.measurement);
   }
+  for (const auto& [node, partial] : partials) {
+    if (partial.matched > 0) ++out.nodes_with_data;
+  }
 
-  // Merge one aggregate row per node.  min/max/count are associative and
-  // commutative over disjoint row sets, so any merge order is exact:
-  //   min = min(partial mins)   max = max(partial maxes)
-  //   count = sum(partial counts)
-  // NaN partials mean "no values on that node" and are skipped; the merged
-  // cell stays NaN only when every node had none — same as a single node.
-  const auto& selectors = plan.query.selectors;
-  std::vector<double> row(selectors.size() + 1,
-                          std::numeric_limits<double>::quiet_NaN());
-  double last_matched_time = 0.0;
-  bool any_matched = false;
-  for (auto& [node, partial] : partials) {
-    if (partial.result.rows.empty()) continue;
-    const std::vector<double>& prow = partial.result.rows.front();
-    if (partial.matched > 0) {
-      any_matched = true;
-      ++out.nodes_with_data;
-      // Single-node aggregate rows are stamped with the last matched
-      // time; the fleet's last matched time is the max across nodes.
-      last_matched_time = std::max(last_matched_time, prow[0]);
+  // Merge the nodes' rows one bucket at a time, in ascending stamp order:
+  // a node answers one row per bucket that holds any of its rows (one row
+  // in all when ungrouped).  min/max/count are associative and commutative
+  // over disjoint row sets, so any merge order is exact:
+  //   min = min(node mins)   max = max(node maxes)   count = sum(counts)
+  // A NaN cell whose count is NaN means the field is absent on that node,
+  // and is skipped.  Two cases depend on the row order across nodes, which
+  // their rows do not carry, and take the exact gather instead: a NaN
+  // extreme with a count (that node's first value is NaN, which poisons
+  // min/max only if it comes first fleet-wide), and extremes that are zeros
+  // of opposite sign (a single node keeps the one that comes first).
+  const bool grouped = plan.query.group_interval > 0;
+  const std::vector<query::Selector>& selectors = node_q.selectors;
+  std::vector<std::size_t> next(partials.size(), 0);
+  std::vector<char> zero_tie(selectors.size());
+  for (;;) {
+    bool pending = false;
+    double key = 0.0;  // every row is one bucket when ungrouped
+    for (std::size_t n = 0; n < partials.size(); ++n) {
+      const auto& rows = partials[n].second.result.rows;
+      if (next[n] == rows.size()) continue;
+      const double k = grouped ? rows[next[n]][0] : 0.0;
+      if (!pending || k < key) key = k;
+      pending = true;
     }
-    for (std::size_t j = 0; j < selectors.size(); ++j) {
-      const double v = prow[j + 1];
-      if (std::isnan(v)) continue;
-      double& acc = row[j + 1];
-      if (std::isnan(acc)) {
-        acc = v;
+    if (!pending) break;
+
+    std::vector<double> row(selectors.size() + 1,
+                            std::numeric_limits<double>::quiet_NaN());
+    std::fill(zero_tie.begin(), zero_tie.end(), 0);
+    bool stamped = false;
+    double stamp = 0.0;
+    for (std::size_t n = 0; n < partials.size(); ++n) {
+      const NodePartial& partial = partials[n].second;
+      const auto& rows = partial.result.rows;
+      if (next[n] == rows.size() || (grouped && rows[next[n]][0] != key)) {
         continue;
       }
-      switch (selectors[j].aggregate) {
-        case query::Aggregate::kMin:
-          acc = std::min(acc, v);
-          break;
-        case query::Aggregate::kMax:
-          acc = std::max(acc, v);
-          break;
-        case query::Aggregate::kCount:
+      const std::vector<double>& prow = rows[next[n]++];
+      if (!grouped && partial.matched > 0) {
+        // An ungrouped row is stamped with the last matched time; the
+        // fleet's is the latest across nodes.
+        stamp = stamped ? std::max(stamp, prow[0]) : prow[0];
+        stamped = true;
+      }
+      for (std::size_t j = 0; j < selectors.size(); ++j) {
+        const query::Aggregate agg = selectors[j].aggregate;
+        const double v = prow[j + 1];
+        if (std::isnan(v)) {
+          if (is_extreme(agg) && !std::isnan(prow[count_col[j] + 1])) {
+            return query_exact(plan, nodes);
+          }
+          continue;
+        }
+        double& acc = row[j + 1];
+        if (std::isnan(acc)) {
+          acc = v;
+          continue;
+        }
+        if (agg == query::Aggregate::kCount) {
           acc += v;
-          break;
-        default:
-          break;  // unreachable: pushdown is gated on order_insensitive
+          continue;
+        }
+        const bool better =
+            agg == query::Aggregate::kMin ? v < acc : acc < v;
+        if (better) {
+          acc = v;
+          zero_tie[j] = 0;
+        } else if (v == acc && std::signbit(v) != std::signbit(acc)) {
+          zero_tie[j] = 1;
+        }
       }
     }
+    if (std::find(zero_tie.begin(), zero_tie.end(), 1) != zero_tie.end()) {
+      return query_exact(plan, nodes);
+    }
+    row[0] = grouped ? key : stamp;
+    row.resize(shown + 1);
+    out.result.rows.push_back(std::move(row));
   }
-  row[0] = any_matched ? last_matched_time : 0.0;
   out.result.columns = partials.front().second.result.columns;
-  out.result.rows.push_back(std::move(row));
+  out.result.columns.resize(shown + 1);
   return out;
 }
 

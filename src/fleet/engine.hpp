@@ -13,9 +13,12 @@
 //    never reorder, because the router preserves per-series order).
 //
 //  * pushdown: when every selected aggregate is order-insensitive
-//    (min/max/count, no GROUP BY), nodes evaluate locally and the head
-//    merges one partial row per node — exact by associativity, and the
-//    network moves one row per node instead of every matching point.
+//    (min/max/count), grouped or not, nodes evaluate locally and the head
+//    merges their rows bucket by bucket — exact by associativity, and the
+//    network moves one row per node and bucket instead of every matching
+//    point.  GROUP BY intervals of at most 1,024 ns, and the rare answers
+//    that depend on row order across nodes (a node whose first value is
+//    NaN, extremes that are zeros of opposite sign), take the exact gather.
 //
 // Partial failure is a first-class result, not an error: each node gets a
 // deadline derived from the EWMA of its observed scatter latencies
@@ -41,6 +44,10 @@
 #include "util/ewma.hpp"
 #include "util/status.hpp"
 
+namespace pmove::metrics {
+class Counter;
+}  // namespace pmove::metrics
+
 namespace pmove::util {
 class TaskPool;
 }  // namespace pmove::util
@@ -63,7 +70,8 @@ struct FleetQueryOptions {
   /// Worker pool scatter calls run on; null means the process-wide
   /// util::TaskPool::shared().  Borrowed — must outlive the engine.
   util::TaskPool* pool = nullptr;
-  /// Allows the pushdown strategy for order-insensitive aggregates.
+  /// Allows the pushdown strategy for order-insensitive aggregates,
+  /// grouped or not.
   bool pushdown = true;
 };
 
@@ -155,6 +163,13 @@ class FleetQueryEngine {
 
   Transport* transport_;
   FleetQueryOptions options_;
+
+  // pmove_fleet{engine} registry handles, looked up once.
+  metrics::Counter& queries_;
+  metrics::Counter& pushdown_queries_;
+  metrics::Counter& degraded_queries_;
+  metrics::Counter& nodes_missing_;
+  metrics::Counter& query_errors_;
 
   mutable std::mutex mutex_;  ///< guards states_
   std::map<std::string, NodeState> states_;

@@ -1,5 +1,6 @@
 #include "fleet/router.hpp"
 
+#include <string_view>
 #include <utility>
 
 #include "fault/fault.hpp"
@@ -8,8 +9,19 @@
 
 namespace pmove::fleet {
 
+namespace {
+metrics::Counter& router_counter(std::string_view field) {
+  return metrics::Registry::global().counter(metrics::kMeasurementFleet,
+                                             "router", field);
+}
+}  // namespace
+
 FleetRouter::FleetRouter(Transport* transport, int vnodes)
-    : transport_(transport), ring_(vnodes) {}
+    : transport_(transport),
+      ring_(vnodes),
+      routed_points_(router_counter("routed_points")),
+      routed_batches_(router_counter("routed_batches")),
+      route_errors_(router_counter("route_errors")) {}
 
 Status FleetRouter::add_node(const std::string& name) {
   std::unique_lock lock(mutex_);
@@ -43,14 +55,6 @@ Expected<std::string> FleetRouter::route_series(
 }
 
 Status FleetRouter::write_batch(std::vector<tsdb::Point> batch) {
-  auto& registry = metrics::Registry::global();
-  auto& routed_points =
-      registry.counter(metrics::kMeasurementFleet, "router", "routed_points");
-  auto& routed_batches =
-      registry.counter(metrics::kMeasurementFleet, "router", "routed_batches");
-  auto& route_errors =
-      registry.counter(metrics::kMeasurementFleet, "router", "route_errors");
-
   // Split by owner; iterating the batch in order keeps each sub-batch in
   // the original relative order, which is what preserves per-series
   // (time, arrival) order on the owning node.
@@ -58,13 +62,13 @@ Status FleetRouter::write_batch(std::vector<tsdb::Point> batch) {
   {
     std::shared_lock lock(mutex_);
     if (ring_.size() == 0) {
-      route_errors.inc();
+      route_errors_.inc();
       return Status::unavailable("fleet: no nodes in ring");
     }
     for (tsdb::Point& p : batch) {
       auto owner = ring_.owner(series_key(p.measurement, p.tags));
       if (!owner) {
-        route_errors.inc();
+        route_errors_.inc();
         return owner.status();
       }
       by_owner[*owner].push_back(std::move(p));
@@ -77,12 +81,12 @@ Status FleetRouter::write_batch(std::vector<tsdb::Point> batch) {
     Status s = fault::point("fleet.route");
     if (s.is_ok()) s = transport_->deliver(node, std::move(sub));
     if (!s.is_ok()) {
-      route_errors.inc();
+      route_errors_.inc();
       if (first_error.is_ok()) first_error = s;
       continue;
     }
-    routed_batches.inc();
-    routed_points.add(sub_size);
+    routed_batches_.inc();
+    routed_points_.add(sub_size);
   }
   return first_error;
 }

@@ -22,6 +22,10 @@
 #include "tsdb/point.hpp"
 #include "util/status.hpp"
 
+namespace pmove::metrics {
+class Counter;
+}  // namespace pmove::metrics
+
 namespace pmove::fleet {
 
 class FleetRouter {
@@ -55,6 +59,11 @@ class FleetRouter {
   Transport* transport_;
   mutable std::shared_mutex mutex_;  ///< guards ring_ vs membership changes
   HashRing ring_;
+
+  // pmove_fleet{router} registry handles, looked up once.
+  metrics::Counter& routed_points_;
+  metrics::Counter& routed_batches_;
+  metrics::Counter& route_errors_;
 };
 
 }  // namespace pmove::fleet

@@ -1,9 +1,11 @@
 #include "query/plan.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <map>
+#include <span>
 
 #include "tsdb/simd_kernels.hpp"
 #include "util/task_pool.hpp"
@@ -361,7 +363,8 @@ void fold_selectors_refs(std::span<const tsdb::SeriesView> views,
 //     workers changes nothing;
 //   * count/min/max/first/last decompose into order-exact partials
 //     (ExactPartial) whose merge reproduces the serial fold's semantics
-//     exactly, including NaN poisoning and first-of-equals ties;
+//     exactly, including NaN poisoning and first-of-equals ties — per
+//     morsel of one series, and per (series, GROUP BY bucket) of many;
 //   * sum/mean/stddev are order-sensitive floating-point folds and are
 //     NEVER chunk-merged — they only parallelize across distinct fields,
 //     each field's fold order unchanged.
@@ -411,7 +414,7 @@ void dedup_owners(const std::vector<Selector>& selectors,
 // Per-morsel partial for the order-exact merge.  Unlike simd::FieldFold it
 // keeps enough structure to combine chunks without changing a result bit:
 // the present-cell count, the non-NaN count, the chunk's first and last
-// cells with their (time, seq) merge keys, and NaN-skipping real min/max.
+// cells with their times, and NaN-skipping real min/max.
 // The serial fold's semantics are reproduced at read-out (exact_value):
 //   * min/max: FieldFold seeds from the first present value and `v < min`
 //     never replaces a NaN — so NaN poisons min/max iff the *globally
@@ -429,8 +432,6 @@ struct ExactPartial {
   double rmax = 0.0;
   TimeNs first_time = 0;
   TimeNs last_time = 0;
-  std::uint64_t first_seq = 0;  ///< resolved lazily, only for cross-series ties
-  std::uint64_t last_seq = 0;
 
   void add_cell(double v, TimeNs t) {
     if (count == 0) {
@@ -465,7 +466,6 @@ struct ExactPartial {
     if (b.last_time > last_time) {
       last = b.last;
       last_time = b.last_time;
-      last_seq = b.last_seq;
     }
     count += b.count;
     if (b.nn != 0) {
@@ -512,117 +512,173 @@ ExactPartial fold_range_exact(const tsdb::SeriesView& view, std::size_t field,
   return p;
 }
 
-// One series' partial plus the Locs of its first present cell and its
-// first present cell at the maximal time — the seq lookups cross-series
-// tie resolution needs, deferred so the packed seq column only decodes
-// when times actually tie.
+// The cells of a series partial that cross-series ties are broken on: the
+// first and last present cells, and the cells that set rmin and rmax.
+enum Cell : std::size_t { kFirstCell, kLastCell, kMinCell, kMaxCell };
+
+// One series' partial over one bucket's rows, plus what a cross-series tie
+// needs to find a Cell's (time, seq) merge key later, on the calling
+// thread — so the packed seq column decodes only when keys actually tie.
+// Contiguous views keep the bucket's logical rows [a, b) and find a cell
+// on demand; row-walked views record each cell's Loc as they fold.
 struct SeriesPartial {
   ExactPartial p;
-  tsdb::SeriesView::Loc first_loc{0, 0};
-  tsdb::SeriesView::Loc last_loc{0, 0};
   const tsdb::SeriesView* view = nullptr;
+  std::size_t field = 0;
+  std::size_t a = 0;
+  std::size_t b = 0;
+  std::array<tsdb::SeriesView::Loc, 4> locs{};
+
+  /// Row-walk form of ExactPartial::add_cell, keeping each Cell's Loc by
+  /// the rules add_cell keeps its value.
+  void add_walked(tsdb::SeriesView::Loc loc, double v, TimeNs t) {
+    if (p.count == 0) locs[kFirstCell] = loc;
+    if (p.count == 0 || t > p.last_time) locs[kLastCell] = loc;
+    if (v == v) {
+      if (p.nn == 0 || v < p.rmin) locs[kMinCell] = loc;
+      if (p.nn == 0 || p.rmax < v) locs[kMaxCell] = loc;
+    }
+    p.add_cell(v, t);
+  }
 };
 
-SeriesPartial fold_series_exact(const tsdb::SeriesView& view,
-                                std::size_t field) {
-  SeriesPartial out;
-  out.view = &view;
-  if (field >= view.field_count()) return out;
-  if (view.contiguous()) {
-    const std::size_t rows = view.rows();
-    out.p = fold_range_exact(view, field, 0, rows);
-    if (out.p.count != 0) {
-      std::size_t r = 0;
-      while (!view.has_value(field, view.loc_at(r))) ++r;
-      out.first_loc = view.loc_at(r);
-      // First present cell at the maximal present time: jump to the time,
-      // then walk the (short) tail of absent cells inside the tie run.
-      const auto times = view.times();
-      auto rl = static_cast<std::size_t>(
-          std::lower_bound(times.begin(), times.end(), out.p.last_time) -
-          times.begin());
-      while (!view.has_value(field, view.loc_at(rl))) ++rl;
-      out.last_loc = view.loc_at(rl);
-    }
-    return out;
+// Loc of a partial's `cell`; the partial must hold it (count > 0, and
+// nn > 0 for min/max).  A contiguous view's min or max cell is the first
+// present cell equal to the extreme, since strict comparisons keep the
+// first of equals.
+tsdb::SeriesView::Loc cell_loc(const SeriesPartial& sp, Cell cell) {
+  const tsdb::SeriesView& view = *sp.view;
+  if (!view.contiguous()) return sp.locs[cell];
+  std::size_t r = sp.a;
+  if (cell == kLastCell) {
+    // Jump to the maximal present time, then walk the (short) tail of
+    // absent cells inside the tie run.
+    const auto times = view.times();
+    r = static_cast<std::size_t>(
+        std::lower_bound(times.begin() + static_cast<std::ptrdiff_t>(sp.a),
+                         times.begin() + static_cast<std::ptrdiff_t>(sp.b),
+                         sp.p.last_time) -
+        times.begin());
   }
-  view.for_each_row([&](tsdb::SeriesView::Loc loc, TimeNs t) {
-    if (!view.has_value(field, loc)) return;
-    if (out.p.count == 0) out.first_loc = loc;
-    if (out.p.count == 0 || t > out.p.last_time) out.last_loc = loc;
-    out.p.add_cell(view.value_at(field, loc), t);
-  });
-  return out;
+  const double extreme = cell == kMinCell ? sp.p.rmin : sp.p.rmax;
+  for (;; ++r) {
+    const tsdb::SeriesView::Loc loc = view.loc_at(r);
+    if (!view.has_value(sp.field, loc)) continue;
+    if (cell == kFirstCell || cell == kLastCell ||
+        view.value_at(sp.field, loc) == extreme) {
+      return loc;
+    }
+  }
 }
 
-// Merges per-series partials in the merged (time, seq) row order's
-// semantics.  first/last are keyed by (time, seq) across series; seqs are
-// fetched (seq_at — possibly decoding a packed seq column) only for the
-// series that tie on the global extreme time.  count and the non-NaN
-// min/max are order-free.  Caveat: when several series tie bit-for-bit on
-// the min or max VALUE with mixed ±0.0 representations, the merge keeps
-// the representation from the lowest view index rather than the earliest
-// merged row — numerically equal, and independent of thread count.
-ExactPartial merge_series_partials(std::vector<SeriesPartial*>& parts) {
+// Among the partials `tied` accepts — which hold `cell` at one time
+// (first/last) or at one extreme value (min/max) — the one whose cell comes
+// first in the merged (time, seq) row order.  Reads each candidate's seq
+// once, through seq_at (possibly decoding a packed seq column).
+template <class Tied>
+const SeriesPartial* earliest_cell(
+    std::span<const SeriesPartial* const> parts, Cell cell, Tied tied) {
+  const SeriesPartial* best = nullptr;
+  TimeNs best_time = 0;
+  std::uint64_t best_seq = 0;
+  for (const SeriesPartial* sp : parts) {
+    if (sp->p.count == 0 || !tied(*sp)) continue;
+    const tsdb::SeriesView::Loc loc = cell_loc(*sp, cell);
+    const TimeNs t = sp->view->time_at(loc);
+    if (best != nullptr && t > best_time) continue;
+    const std::uint64_t seq = sp->view->seq_at(loc);
+    if (best == nullptr || t < best_time || seq < best_seq) {
+      best = sp;
+      best_time = t;
+      best_seq = seq;
+    }
+  }
+  return best;
+}
+
+// Merges one bucket's per-series partials in the merged (time, seq) row
+// order's semantics.  count and the extremes' values are order-free.
+// first/last are keyed by (time, seq) across series, and so is a min or
+// max that several series reach with zeros of both signs — the only equal
+// values whose bits differ — since the serial fold keeps the earliest of
+// equals.  Seqs are read only for the partials that tie.
+ExactPartial merge_series_partials(
+    std::span<const SeriesPartial* const> parts) {
   const SeriesPartial* first = nullptr;
   const SeriesPartial* last = nullptr;
+  const SeriesPartial* lo = nullptr;
+  const SeriesPartial* hi = nullptr;
   std::size_t first_ties = 0;
   std::size_t last_ties = 0;
+  bool lo_mixed = false;  // lo's value is also reached by the other zero
+  bool hi_mixed = false;
+  ExactPartial out;
   for (const SeriesPartial* sp : parts) {
-    if (sp->p.count == 0) continue;
-    if (first == nullptr || sp->p.first_time < first->p.first_time) {
+    const ExactPartial& p = sp->p;
+    if (p.count == 0) continue;
+    out.count += p.count;
+    if (first == nullptr || p.first_time < first->p.first_time) {
       first = sp;
       first_ties = 1;
-    } else if (sp->p.first_time == first->p.first_time) {
+    } else if (p.first_time == first->p.first_time) {
       ++first_ties;
     }
-    if (last == nullptr || sp->p.last_time > last->p.last_time) {
+    if (last == nullptr || p.last_time > last->p.last_time) {
       last = sp;
       last_ties = 1;
-    } else if (sp->p.last_time == last->p.last_time) {
+    } else if (p.last_time == last->p.last_time) {
       ++last_ties;
     }
+    if (p.nn == 0) continue;
+    out.nn += p.nn;
+    if (lo == nullptr || p.rmin < lo->p.rmin) {
+      lo = sp;
+      lo_mixed = false;
+    } else if (p.rmin == lo->p.rmin &&
+               std::signbit(p.rmin) != std::signbit(lo->p.rmin)) {
+      lo_mixed = true;
+    }
+    if (hi == nullptr || hi->p.rmax < p.rmax) {
+      hi = sp;
+      hi_mixed = false;
+    } else if (p.rmax == hi->p.rmax &&
+               std::signbit(p.rmax) != std::signbit(hi->p.rmax)) {
+      hi_mixed = true;
+    }
   }
-  ExactPartial out;
   if (first == nullptr) return out;
   if (first_ties > 1) {
-    const SeriesPartial* best = nullptr;
-    for (SeriesPartial* sp : parts) {
-      if (sp->p.count == 0 || sp->p.first_time != first->p.first_time) continue;
-      sp->p.first_seq = sp->view->seq_at(sp->first_loc);
-      if (best == nullptr || sp->p.first_seq < best->p.first_seq) best = sp;
-    }
-    first = best;
+    const TimeNs t = first->p.first_time;
+    first = earliest_cell(parts, kFirstCell, [t](const SeriesPartial& sp) {
+      return sp.p.first_time == t;
+    });
   }
   if (last_ties > 1) {
-    // The merged fold's last is the FIRST cell at the maximal time in
-    // (time, seq) order (strictly-greater update), hence min seq wins.
-    const SeriesPartial* best = nullptr;
-    for (SeriesPartial* sp : parts) {
-      if (sp->p.count == 0 || sp->p.last_time != last->p.last_time) continue;
-      sp->p.last_seq = sp->view->seq_at(sp->last_loc);
-      if (best == nullptr || sp->p.last_seq < best->p.last_seq) best = sp;
-    }
-    last = best;
+    // The serial fold's last is the FIRST cell at the maximal time
+    // (strictly-greater update).
+    const TimeNs t = last->p.last_time;
+    last = earliest_cell(parts, kLastCell, [t](const SeriesPartial& sp) {
+      return sp.p.last_time == t;
+    });
   }
-  for (const SeriesPartial* sp : parts) {
-    if (sp->p.count == 0) continue;
-    out.count += sp->p.count;
-    if (sp->p.nn != 0) {
-      if (out.nn == 0) {
-        out.rmin = sp->p.rmin;
-        out.rmax = sp->p.rmax;
-      } else {
-        out.rmin = sp->p.rmin < out.rmin ? sp->p.rmin : out.rmin;
-        out.rmax = out.rmax < sp->p.rmax ? sp->p.rmax : out.rmax;
-      }
-      out.nn += sp->p.nn;
-    }
+  if (lo_mixed) {
+    lo = earliest_cell(parts, kMinCell, [](const SeriesPartial& sp) {
+      return sp.p.nn != 0 && sp.p.rmin == 0.0;
+    });
+  }
+  if (hi_mixed) {
+    hi = earliest_cell(parts, kMaxCell, [](const SeriesPartial& sp) {
+      return sp.p.nn != 0 && sp.p.rmax == 0.0;
+    });
   }
   out.first = first->p.first;
   out.first_time = first->p.first_time;
   out.last = last->p.last;
   out.last_time = last->p.last_time;
+  if (lo != nullptr) {
+    out.rmin = lo->p.rmin;
+    out.rmax = hi->p.rmax;
+  }
   return out;
 }
 
@@ -669,47 +725,162 @@ void exec_exact_single(const tsdb::SeriesView& view,
   result.rows.push_back(std::move(row));
 }
 
-// Ungrouped count/min/max/first/last over several views (or one with live
-// runs): one task per view folds its rows in series order — skipping the
-// merged row list entirely — then the per-series partials merge under the
-// (time, seq) keys.  One task per VIEW, never finer: a view's lazy seq
-// column is only read after the join, on this thread.
-void exec_exact_views(std::span<const tsdb::SeriesView> views,
-                      const std::vector<std::vector<std::size_t>>& field_of,
-                      const std::vector<Selector>& selectors,
-                      util::TaskPool& pool, tsdb::QueryResult& result) {
+// One bucket of one view: its start (0 when ungrouped) and the time of its
+// last row, which stamps an ungrouped answer.
+struct BucketSlot {
+  TimeNs key = 0;
+  TimeNs last_time = 0;
+};
+
+// Most buckets `view` can fill: one when ungrouped, else every bucket from
+// its first row's to its last row's, and never more than its rows.
+std::size_t bucket_bound(const tsdb::SeriesView& view, TimeNs interval) {
+  if (view.rows() == 0) return 0;
+  if (interval <= 0) return 1;
+  const TimeNs first = tsdb::SeriesView::RowCursor(view).time();
+  const TimeNs last = view.last_row_time();
+  // Unsigned: two int64 bucket starts can lie more than INT64_MAX apart.
+  const std::uint64_t steps =
+      (static_cast<std::uint64_t>(bucket_start(last, interval)) -
+       static_cast<std::uint64_t>(bucket_start(first, interval))) /
+      static_cast<std::uint64_t>(interval);
+  return static_cast<std::size_t>(
+             std::min<std::uint64_t>(view.rows() - 1, steps)) +
+         1;
+}
+
+// Folds one view into per-bucket partials, buckets ascending: each used
+// bucket fills one slot and `fields.size()` partials, one per field.
+// Returns the buckets used (at most bucket_bound).  Contiguous views find
+// each bucket's rows by partition_point and stream them through the block
+// kernels; views with live runs walk their rows once for every field.
+std::size_t fold_view_buckets(const tsdb::SeriesView& view,
+                              std::span<const std::size_t> fields,
+                              TimeNs interval, BucketSlot* slots,
+                              SeriesPartial* parts) {
+  const std::size_t nf = fields.size();
+  const auto bucket_of = [interval](TimeNs t) {
+    return interval > 0 ? bucket_start(t, interval) : TimeNs{0};
+  };
+  std::size_t used = 0;
+  if (view.contiguous()) {
+    const auto times = view.times();
+    for (std::size_t i = 0; i < times.size(); ++used) {
+      const TimeNs key = bucket_of(times[i]);
+      const auto j = static_cast<std::size_t>(
+          std::partition_point(
+              times.begin() + static_cast<std::ptrdiff_t>(i), times.end(),
+              [&](TimeNs t) { return bucket_of(t) == key; }) -
+          times.begin());
+      slots[used] = {key, times[j - 1]};
+      for (std::size_t f = 0; f < nf; ++f) {
+        SeriesPartial& sp = parts[used * nf + f];
+        sp.view = &view;
+        sp.field = fields[f];
+        sp.a = i;
+        sp.b = j;
+        sp.p = fold_range_exact(view, fields[f], i, j);
+      }
+      i = j;
+    }
+    return used;
+  }
+  view.for_each_row([&](tsdb::SeriesView::Loc loc, TimeNs t) {
+    const TimeNs key = bucket_of(t);
+    if (used == 0 || key != slots[used - 1].key) {
+      slots[used].key = key;
+      for (std::size_t f = 0; f < nf; ++f) {
+        parts[used * nf + f].view = &view;
+        parts[used * nf + f].field = fields[f];
+      }
+      ++used;
+    }
+    slots[used - 1].last_time = t;
+    SeriesPartial* bucket = parts + (used - 1) * nf;
+    for (std::size_t f = 0; f < nf; ++f) {
+      const std::size_t field = fields[f];
+      if (field >= view.field_count() || !view.has_value(field, loc)) continue;
+      bucket[f].add_walked(loc, view.value_at(field, loc), t);
+    }
+  });
+  return used;
+}
+
+// count/min/max/first/last over several views (or one with live runs),
+// per GROUP BY time() bucket — ungrouped is the one-bucket case, stamped
+// like the serial fold with the last matched time.  One task per view
+// folds its rows into per-bucket partials in series order, skipping the
+// merged row list entirely; then each bucket's partials merge under the
+// (time, seq) keys on this thread, where a view's lazy seq column may
+// decode.  Rows are the serial fold's: one per bucket holding any matched
+// row, ascending, stamped with the bucket start.
+void exec_exact_buckets(std::span<const tsdb::SeriesView> views,
+                        const std::vector<std::vector<std::size_t>>& field_of,
+                        const std::vector<Selector>& selectors,
+                        TimeNs interval, util::TaskPool& pool,
+                        tsdb::QueryResult& result) {
   std::vector<std::size_t> owner_pos(selectors.size());
   std::vector<std::size_t> owners;
   dedup_owners(selectors, owner_pos, owners);
   const std::size_t nv = views.size();
   const std::size_t no = owners.size();
-  std::vector<SeriesPartial> parts(nv * no);
-  pool.parallel_for(nv, [&](std::size_t v) {
+  std::vector<std::size_t> fields(nv * no);
+  std::vector<std::size_t> offset(nv + 1, 0);
+  for (std::size_t v = 0; v < nv; ++v) {
     for (std::size_t o = 0; o < no; ++o) {
-      parts[v * no + o] = fold_series_exact(views[v], field_of[v][owners[o]]);
+      fields[v * no + o] = field_of[v][owners[o]];
     }
+    offset[v + 1] = offset[v] + bucket_bound(views[v], interval);
+  }
+  std::vector<BucketSlot> slots(offset[nv]);
+  std::vector<SeriesPartial> parts(offset[nv] * no);
+  std::vector<std::size_t> used(nv);
+  pool.parallel_for(nv, [&](std::size_t v) {
+    used[v] = fold_view_buckets(
+        views[v], std::span<const std::size_t>(fields.data() + v * no, no),
+        interval, slots.data() + offset[v], parts.data() + offset[v] * no);
   });
+
+  // Every used slot in (bucket, view) order; one bucket is already in it.
+  std::vector<std::size_t> order;
+  order.reserve(offset[nv]);
+  for (std::size_t v = 0; v < nv; ++v) {
+    for (std::size_t k = 0; k < used[v]; ++k) order.push_back(offset[v] + k);
+  }
+  if (interval > 0) {
+    std::sort(order.begin(), order.end(), [&](std::size_t x, std::size_t y) {
+      return slots[x].key != slots[y].key ? slots[x].key < slots[y].key
+                                          : x < y;
+    });
+  }
   std::vector<ExactPartial> merged(no);
-  std::vector<SeriesPartial*> column(nv);
-  for (std::size_t o = 0; o < no; ++o) {
-    for (std::size_t v = 0; v < nv; ++v) column[v] = &parts[v * no + o];
-    merged[o] = merge_series_partials(column);
+  std::vector<const SeriesPartial*> column;
+  const auto emit = [&](TimeNs stamp, std::size_t g, std::size_t h) {
+    for (std::size_t o = 0; o < no; ++o) {
+      column.clear();
+      for (std::size_t e = g; e < h; ++e) {
+        column.push_back(&parts[order[e] * no + o]);
+      }
+      merged[o] = merge_series_partials(column);
+    }
+    std::vector<double> row;
+    row.reserve(selectors.size() + 1);
+    row.push_back(static_cast<double>(stamp));
+    for (std::size_t s = 0; s < selectors.size(); ++s) {
+      row.push_back(exact_value(selectors[s].aggregate, merged[owner_pos[s]]));
+    }
+    result.rows.push_back(std::move(row));
+  };
+  for (std::size_t g = 0, h = 0; g < order.size(); g = h) {
+    const TimeNs key = slots[order[g]].key;
+    TimeNs last = slots[order[g]].last_time;
+    for (h = g; h < order.size() && slots[order[h]].key == key; ++h) {
+      last = std::max(last, slots[order[h]].last_time);
+    }
+    emit(interval > 0 ? key : last, g, h);
   }
-  TimeNs stamp = 0;
-  bool any = false;
-  for (const tsdb::SeriesView& view : views) {
-    if (view.rows() == 0) continue;
-    const TimeNs t = view.last_row_time();
-    if (!any || t > stamp) stamp = t;
-    any = true;
-  }
-  std::vector<double> row;
-  row.reserve(selectors.size() + 1);
-  row.push_back(any ? static_cast<double>(stamp) : 0.0);
-  for (std::size_t s = 0; s < selectors.size(); ++s) {
-    row.push_back(exact_value(selectors[s].aggregate, merged[owner_pos[s]]));
-  }
-  result.rows.push_back(std::move(row));
+  // Ungrouped always answers one row: stamp 0 and NaNs when nothing matched.
+  if (interval <= 0 && result.rows.empty()) emit(0, 0, 0);
 }
 
 // Parallel-across-fields variant of fold_selectors_view, for the
@@ -961,11 +1132,13 @@ Expected<tsdb::QueryResult> execute_columnar(
 
   // General path: several matching series (or one with live runs).  The
   // partial-exact aggregates skip the merged row list entirely — each
-  // series folds in its own order and the partials merge under the
-  // (time, seq) keys.  Everything else merges into the seed row store's
-  // (time, seq) point order before evaluation.
-  if (q.group_interval <= 0 && any_aggregate && partials_exact(selectors)) {
-    exec_exact_views(views, field_of, selectors, pool, result);
+  // series folds into per-bucket partials in its own order and each
+  // bucket's partials merge under the (time, seq) keys.  Everything else
+  // merges into the seed row store's (time, seq) point order before
+  // evaluation.
+  if (any_aggregate && partials_exact(selectors)) {
+    exec_exact_buckets(views, field_of, selectors, q.group_interval, pool,
+                       result);
     return result;
   }
 

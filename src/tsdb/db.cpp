@@ -915,20 +915,6 @@ void TimeSeriesDb::clear() {
   live_points_ = 0;
 }
 
-std::size_t TimeSeriesDb::drop_measurement(std::string_view name) {
-  std::unique_lock<std::shared_mutex> lock(mutex_);
-  auto it = series_.find(name);
-  if (it == series_.end()) return 0;
-  std::size_t dropped = 0;
-  for (const auto& entry : it->second.series) dropped += entry->row_count();
-  if (auto epoch = epochs_.find(it->first); epoch != epochs_.end()) {
-    epochs_.erase(epoch);
-  }
-  series_.erase(it);
-  live_points_ -= dropped;
-  return dropped;
-}
-
 std::size_t TimeSeriesDb::drop_series(
     std::string_view measurement,
     const std::map<std::string, std::string>& tags) {

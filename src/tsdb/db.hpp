@@ -173,10 +173,6 @@ class TimeSeriesDb : public PointSink {
 
   void clear();
 
-  /// Removes one measurement entirely; returns the number of dropped
-  /// points.
-  std::size_t drop_measurement(std::string_view name);
-
   /// Removes one series (measurement + exact tag set); returns the number
   /// of dropped points.  The fleet tier uses this to migrate exactly the
   /// series whose ring placement moved.
@@ -187,7 +183,7 @@ class TimeSeriesDb : public PointSink {
 
   /// Write epoch of a measurement: 0 while absent, otherwise a globally
   /// monotonic value that changes on every mutation (write_batch,
-  /// retention trim, drop+recreate) and never repeats — so a cached query
+  /// retention trim, drop_series) and never repeats — so a cached query
   /// result tagged with the epoch observed *before* its scan is valid
   /// exactly while the value is unchanged.
   [[nodiscard]] std::uint64_t write_epoch(std::string_view measurement) const;

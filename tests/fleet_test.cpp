@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <map>
 #include <set>
@@ -67,22 +70,70 @@ void load_demo(Fleet& fleet) {
 
 /// Ground truth: the same batch on one fat node, evaluated by the shared
 /// single-node pipeline.
-tsdb::QueryResult fat_node_answer(const Query& q) {
+tsdb::QueryResult fat_node_answer(
+    const Query& q, std::vector<tsdb::Point> batch = demo_batch()) {
   tsdb::TimeSeriesDb fat;
-  EXPECT_TRUE(fat.write_batch(demo_batch()).is_ok());
+  EXPECT_TRUE(fat.write_batch(std::move(batch)).is_ok());
   auto result = query::run(fat, q);
   EXPECT_TRUE(result.has_value()) << result.status().to_string();
   return result.has_value() ? *result : tsdb::QueryResult{};
 }
 
+/// Bit-level equality: NaN cells and the sign of zero must match too.
 void expect_bitwise_equal(const tsdb::QueryResult& fleet_result,
                           const tsdb::QueryResult& fat,
                           const std::string& label) {
   EXPECT_EQ(fleet_result.columns, fat.columns) << label;
   ASSERT_EQ(fleet_result.rows.size(), fat.rows.size()) << label;
   for (std::size_t r = 0; r < fat.rows.size(); ++r) {
-    EXPECT_EQ(fleet_result.rows[r], fat.rows[r]) << label << " row " << r;
+    ASSERT_EQ(fleet_result.rows[r].size(), fat.rows[r].size()) << label;
+    for (std::size_t c = 0; c < fat.rows[r].size(); ++c) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(fleet_result.rows[r][c]),
+                std::bit_cast<std::uint64_t>(fat.rows[r][c]))
+          << label << " row " << r << " col " << c << ": "
+          << fleet_result.rows[r][c] << " vs " << fat.rows[r][c];
+    }
   }
+}
+
+/// Grouped-pushdown workload in demo_batch's canonical order: a rack tag
+/// that spans nodes, many equal extremes across series, and an `aux` field
+/// that only every fourth series reports (with gaps), so some nodes and
+/// buckets hold none.
+std::vector<tsdb::Point> rack_batch() {
+  std::vector<tsdb::Point> batch;
+  for (std::size_t t = 0; t < kPerSeries; ++t) {
+    for (std::size_t s = 0; s < kSeries; ++s) {
+      tsdb::Point point;
+      point.measurement = "fleet_racks";
+      point.tags["rack"] = "r" + std::to_string(s / 16);
+      point.tags["series"] = series_id(s);
+      point.time = static_cast<TimeNs>(t + 1) * kStep;
+      point.fields["value"] =
+          static_cast<double>((s * 7 + t * 3) % 11) - 5.0;
+      if (s % 4 == 0 && t % 5 != 1) {
+        point.fields["aux"] = 0.5 * static_cast<double>(s) +
+                              0.25 * static_cast<double>(t);
+      }
+      batch.push_back(std::move(point));
+    }
+  }
+  return batch;
+}
+
+/// 16 series, series s with one value at t = s + 1: NaN first (s = 0),
+/// then 1..15.
+std::vector<tsdb::Point> nan_first_batch() {
+  std::vector<tsdb::Point> batch;
+  for (std::size_t s = 0; s < 16; ++s) {
+    tsdb::Point point;
+    point.measurement = "fleet_nan";
+    point.tags["series"] = series_id(s);
+    point.time = static_cast<TimeNs>(s + 1) * kStep;
+    point.fields["value"] = s == 0 ? std::nan("") : static_cast<double>(s);
+    batch.push_back(std::move(point));
+  }
+  return batch;
 }
 
 // ------------------------------------------------------------------- ring
@@ -311,6 +362,198 @@ TEST(FleetQuery, PushdownDisabledStaysExact) {
   ASSERT_TRUE(got.has_value());
   EXPECT_FALSE(got->pushdown);
   expect_bitwise_equal(got->result, fat_node_answer(q), "no-pushdown");
+}
+
+// Grouped min/max/count push down at every fleet size, and the head's
+// per-bucket merge is bit-equal to the fat node and to the exact gather.
+TEST(FleetQuery, GroupedPushdownParity) {
+  const Query queries[] = {
+      QueryBuilder("fleet_racks")
+          .select(Aggregate::kMax, "value")
+          .select(Aggregate::kCount, "value")
+          .group_by_time(5 * kStep)
+          .build(),
+      QueryBuilder("fleet_racks")
+          .select(Aggregate::kMin, "value")
+          .select(Aggregate::kMax, "value")
+          .select(Aggregate::kCount, "value")
+          .where_tag("rack", "r1")
+          .since(3 * kStep)
+          .until(25 * kStep)
+          .group_by_time(7 * kStep)
+          .build(),
+      // No count(aux) in the query: the head asks for one and drops it.
+      QueryBuilder("fleet_racks")
+          .select(Aggregate::kMax, "aux")
+          .select(Aggregate::kMin, "aux")
+          .group_by_time(4 * kStep)
+          .build(),
+      QueryBuilder("fleet_racks")
+          .select(Aggregate::kMin, "value")
+          .select(Aggregate::kCount, "aux")
+          .since(6 * kStep)
+          .group_by_time(10 * kStep)
+          .build(),
+      // Ungrouped: the one-bucket case of the same merge.
+      QueryBuilder("fleet_racks")
+          .select(Aggregate::kMax, "value")
+          .select(Aggregate::kMin, "aux")
+          .where_tag("rack", "r2")
+          .build(),
+  };
+  for (int n = 1; n <= 5; ++n) {
+    Fleet fleet;
+    join_nodes(fleet, n);
+    FleetOptions exact_options;
+    exact_options.query.pushdown = false;
+    Fleet exact_fleet(exact_options);
+    join_nodes(exact_fleet, n);
+    for (Fleet* f : {&fleet, &exact_fleet}) {
+      ASSERT_TRUE(f->write_batch(rack_batch()).is_ok());
+      ASSERT_TRUE(f->flush().is_ok());
+    }
+    for (const Query& q : queries) {
+      const std::string label =
+          q.to_string() + " [" + std::to_string(n) + " nodes]";
+      auto got = fleet.query(q);
+      auto exact = exact_fleet.query(q);
+      ASSERT_TRUE(got.has_value()) << label;
+      ASSERT_TRUE(exact.has_value()) << label;
+      EXPECT_TRUE(got->pushdown) << label;
+      EXPECT_FALSE(exact->pushdown) << label;
+      EXPECT_FALSE(got->degraded()) << label;
+      EXPECT_FALSE(got->result.rows.empty()) << label;
+      expect_bitwise_equal(got->result, fat_node_answer(q, rack_batch()),
+                           label + " vs fat node");
+      expect_bitwise_equal(got->result, exact->result,
+                           label + " vs exact gather");
+    }
+  }
+}
+
+// Bucket stamps cross the wire as doubles, so only intervals above 1,024
+// ns push down; shorter ones keep the exact gather.  Both are exact.
+TEST(FleetQuery, ShortGroupIntervalsKeepTheExactGather) {
+  Fleet fleet;
+  join_nodes(fleet, 3);
+  load_demo(fleet);
+  for (const TimeNs interval : {TimeNs{1}, TimeNs{1024}, TimeNs{1025}}) {
+    const Query q = QueryBuilder("fleet_demo")
+                        .select(Aggregate::kMax, "value")
+                        .select(Aggregate::kCount, "value")
+                        .until(3 * kStep)
+                        .group_by_time(interval)
+                        .build();
+    auto got = fleet.query(q);
+    ASSERT_TRUE(got.has_value()) << q.to_string();
+    EXPECT_EQ(got->pushdown, interval > 1024) << q.to_string();
+    expect_bitwise_equal(got->result, fat_node_answer(q), q.to_string());
+  }
+}
+
+// An ungrouped pushdown is stamped with the latest matched time across
+// nodes, also when every matched time lies before the epoch.
+TEST(FleetQuery, PushdownStampsNegativeLastMatchedTime) {
+  Fleet fleet;
+  join_nodes(fleet, 3);
+  std::vector<tsdb::Point> batch = demo_batch();
+  for (tsdb::Point& p : batch) p.time -= 1'000 * kStep;
+  ASSERT_TRUE(fleet.write_batch(batch).is_ok());
+  ASSERT_TRUE(fleet.flush().is_ok());
+  const Query q = QueryBuilder("fleet_demo")
+                      .select(Aggregate::kMax, "value")
+                      .select(Aggregate::kCount, "value")
+                      .build();
+  auto got = fleet.query(q);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_TRUE(got->pushdown);
+  expect_bitwise_equal(got->result, fat_node_answer(q, batch), q.to_string());
+  ASSERT_EQ(got->result.rows.size(), 1u);
+  EXPECT_LT(got->result.rows[0][0], 0.0);
+}
+
+// The fleet's first value is NaN, which poisons min/max on the fat node.
+// Its node answers NaN, but node rows do not say whether that NaN comes
+// first fleet-wide — so the head answers from the exact gather instead of
+// skipping the NaN as "no values".
+TEST(FleetQuery, NaNFirstMinMaxMatchesFatNode) {
+  Fleet fleet;
+  join_nodes(fleet, 4);
+  ASSERT_TRUE(fleet.write_batch(nan_first_batch()).is_ok());
+  ASSERT_TRUE(fleet.flush().is_ok());
+  const Query queries[] = {
+      QueryBuilder("fleet_nan").select(Aggregate::kMax, "value").build(),
+      QueryBuilder("fleet_nan")
+          .select(Aggregate::kMin, "value")
+          .select(Aggregate::kCount, "value")
+          .group_by_time(5 * kStep)
+          .build(),
+      // From t = 2 on no NaN matches: the pushdown answers.
+      QueryBuilder("fleet_nan")
+          .select(Aggregate::kMax, "value")
+          .since(2 * kStep)
+          .group_by_time(5 * kStep)
+          .build(),
+  };
+  for (const Query& q : queries) {
+    auto got = fleet.query(q);
+    ASSERT_TRUE(got.has_value()) << q.to_string();
+    EXPECT_EQ(got->pushdown, q.time_min == 2 * kStep) << q.to_string();
+    expect_bitwise_equal(got->result, fat_node_answer(q, nan_first_batch()),
+                         q.to_string());
+  }
+  auto max = fleet.query(queries[0]);
+  ASSERT_TRUE(max.has_value());
+  EXPECT_TRUE(std::isnan(max->result.rows.at(0).at(1)));
+}
+
+// Two nodes whose extremes are zeros of opposite sign: which zero a single
+// node keeps depends on row order, so the head takes the exact gather.
+TEST(FleetQuery, SignedZeroExtremesAcrossNodesMatchFatNode) {
+  Fleet fleet;
+  join_nodes(fleet, 2);
+  // The first two series ids the ring places on different nodes.
+  std::vector<std::string> ids;
+  std::string first_owner;
+  for (std::size_t s = 0; ids.size() < 2; ++s) {
+    auto owner =
+        fleet.router().route_series("fleet_zeros", {{"series", series_id(s)}});
+    ASSERT_TRUE(owner.has_value());
+    if (ids.empty()) first_owner = *owner;
+    if (ids.empty() || *owner != first_owner) ids.push_back(series_id(s));
+  }
+  // ids[0] reaches its zero extreme first (t = 1) with +0.0, ids[1] later
+  // with -0.0; `hi` peaks at zero, `lo` bottoms out at zero.
+  std::vector<tsdb::Point> batch;
+  const auto add = [&](const std::string& id, TimeNs t, double hi, double lo) {
+    tsdb::Point point;
+    point.measurement = "fleet_zeros";
+    point.tags["series"] = id;
+    point.time = t * kStep;
+    point.fields["hi"] = hi;
+    point.fields["lo"] = lo;
+    batch.push_back(std::move(point));
+  };
+  add(ids[0], 1, 0.0, 0.0);
+  add(ids[1], 2, -0.0, -0.0);
+  add(ids[0], 3, -1.0, 1.0);
+  add(ids[1], 4, -2.0, 2.0);
+  ASSERT_TRUE(fleet.write_batch(batch).is_ok());
+  ASSERT_TRUE(fleet.flush().is_ok());
+  for (const TimeNs interval : {TimeNs{0}, 10 * kStep}) {
+    QueryBuilder b("fleet_zeros");
+    b.select(Aggregate::kMax, "hi").select(Aggregate::kMin, "lo");
+    if (interval > 0) b.group_by_time(interval);
+    const Query q = b.build();
+    auto got = fleet.query(q);
+    ASSERT_TRUE(got.has_value()) << q.to_string();
+    EXPECT_FALSE(got->pushdown) << q.to_string();
+    const tsdb::QueryResult fat = fat_node_answer(q, batch);
+    expect_bitwise_equal(got->result, fat, q.to_string());
+    ASSERT_EQ(fat.rows.size(), 1u);
+    EXPECT_FALSE(std::signbit(fat.rows[0][1]));
+    EXPECT_FALSE(std::signbit(fat.rows[0][2]));
+  }
 }
 
 TEST(FleetQuery, NotFoundMatchesSingleNodeSemantics) {

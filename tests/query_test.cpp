@@ -223,11 +223,13 @@ TEST(WriteEpoch, BumpsOnEveryMutationAndNeverRepeats) {
   const std::uint64_t second = db.write_epoch("m");
   EXPECT_GT(second, first);
 
-  // drop + recreate must not resurrect an old epoch value.
-  EXPECT_EQ(db.drop_measurement("m"), 2u);
-  EXPECT_EQ(db.write_epoch("m"), 0u);
+  // Dropping the one series and writing it again must not resurrect an
+  // old epoch value.
+  EXPECT_EQ(db.drop_series("m", {{"tag", "run-a"}}), 2u);
+  const std::uint64_t dropped = db.write_epoch("m");
+  EXPECT_GT(dropped, second);
   ASSERT_TRUE(db.write(make_point("m", 30, 1.0, 2.0)).is_ok());
-  EXPECT_GT(db.write_epoch("m"), second);
+  EXPECT_GT(db.write_epoch("m"), dropped);
 
   // clear() resets entries but keeps the counter running.
   db.clear();
@@ -609,6 +611,162 @@ TEST(QueryParallel, ParallelMatchesSerialBitForBit) {
       expect_bit_identical(*a, *b,
                            std::string(text) +
                                (compacted ? " [compacted]" : " [live]"));
+    }
+  }
+}
+
+// ------------------------------------------------- order-exact partials
+
+/// The columnar run() against the row evaluator over the same collected
+/// points — the serial fold in (time, seq) order — bit for bit.
+void expect_matches_row_evaluator(const tsdb::TimeSeriesDb& db,
+                                  const Query& q, const ExecOptions& opts,
+                                  const std::string& label) {
+  auto columnar = run(db, q, opts);
+  auto rows = execute(make_plan(q), db.collect(q.measurement, q.time_min,
+                                               q.time_max, q.tag_filters));
+  ASSERT_TRUE(columnar.has_value()) << label;
+  ASSERT_TRUE(rows.has_value()) << label;
+  expect_bit_identical(*rows, *columnar, label);
+}
+
+tsdb::Point zero_point(std::string set, TimeNs t, double v) {
+  tsdb::Point p;
+  p.measurement = "zeros";
+  p.tags["set"] = std::move(set);
+  p.time = t;
+  p.fields["v"] = v;
+  return p;
+}
+
+// Zeros of both signs tying for the extreme across series: the serial fold
+// keeps the one that comes first in (time, seq) row order, whichever
+// series holds it — not the lowest series in scan order.
+TEST(QueryExactPartials, SignedZeroExtremesFollowRowOrder) {
+  tsdb::TimeSeriesDb db;
+  // Series a sorts (and is created) first but holds its zero later.
+  ASSERT_TRUE(db.write(zero_point("a", 2, -0.0)).is_ok());
+  ASSERT_TRUE(db.write(zero_point("b", 1, 0.0)).is_ok());
+  // Equal times: the earlier write (lower seq) comes first.
+  ASSERT_TRUE(db.write(zero_point("d", 10, 0.0)).is_ok());
+  ASSERT_TRUE(db.write(zero_point("c", 10, -0.0)).is_ok());
+  for (const Aggregate agg : {Aggregate::kMin, Aggregate::kMax}) {
+    for (const TimeNs interval : {TimeNs{0}, TimeNs{100}}) {
+      for (const bool by_seq : {false, true}) {
+        QueryBuilder b("zeros");
+        b.select(agg, "v");
+        if (by_seq) {
+          b.since(10);
+        } else {
+          b.until(5);
+        }
+        if (interval > 0) b.group_by_time(interval);
+        const Query q = b.build();
+        auto got = run(db, q);
+        ASSERT_TRUE(got.has_value()) << q.to_string();
+        ASSERT_EQ(got->rows.size(), 1u) << q.to_string();
+        EXPECT_FALSE(std::signbit(got->rows[0][1])) << q.to_string();
+        expect_matches_row_evaluator(db, q, ExecOptions{}, q.to_string());
+      }
+    }
+  }
+}
+
+/// Grouped-partials workload: five series sharing most timestamps (first/
+/// last ties across series), negative times, NaN cells (a bucket whose
+/// first value is NaN poisons min/max), zeros of both signs (fields z and
+/// nz reach them as extremes), a field absent from some rows, and
+/// out-of-order arrival.
+std::vector<tsdb::Point> partials_workload() {
+  std::vector<tsdb::Point> points;
+  std::uint64_t lcg = 11;
+  for (int i = 0; i < 400; ++i) {
+    lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+    tsdb::Point p;
+    p.measurement = "gp";
+    p.tags["set"] = "s" + std::to_string((lcg >> 20) % 5);
+    p.time = static_cast<TimeNs>((lcg >> 33) % 160) * 5 - 200;
+    double v = static_cast<double>((lcg >> 44) % 9) - 4.0;
+    switch ((lcg >> 40) % 8) {
+      case 0:
+        v = std::nan("");
+        break;
+      case 1:
+        v = -0.0;
+        break;
+      case 2:
+        v = 0.0;
+        break;
+      default:
+        break;
+    }
+    p.fields["v"] = v;
+    if ((lcg >> 52) % 4 != 0) {
+      p.fields["w"] = std::sqrt(2.0) * (i % 2 == 0 ? i : -i);
+    }
+    // Zero extremes of both signs in most buckets: min(z) and max(nz).
+    const double z[] = {0.0, -0.0, 1.0, 2.0};
+    p.fields["z"] = z[(lcg >> 56) % 4];
+    p.fields["nz"] = -p.fields["z"];
+    points.push_back(std::move(p));
+  }
+  return points;
+}
+
+// Grouped count/min/max/first/last fold per (series, bucket) partial and
+// merge per bucket; the answer must be the serial fold's over the merged
+// rows, bit for bit, at every thread count, run layout and compaction.
+TEST(QueryExactPartials, GroupedMatchesRowEvaluator) {
+  const char* texts[] = {
+      "SELECT count(\"v\"), min(\"v\"), max(\"v\"), first(\"v\"), "
+      "last(\"v\") FROM \"gp\" GROUP BY time(50ns)",
+      "SELECT min(\"w\"), max(\"w\"), count(\"w\"), first(\"w\"), "
+      "last(\"w\"), max(\"v\") FROM \"gp\" GROUP BY time(37ns)",
+      "SELECT max(\"v\"), count(\"w\"), last(\"v\") FROM \"gp\" "
+      "WHERE set=\"s1\" GROUP BY time(100ns)",
+      "SELECT min(\"v\"), first(\"w\"), count(\"v\") FROM \"gp\" "
+      "WHERE time >= -120 AND time <= 480 GROUP BY time(64ns)",
+      "SELECT max(\"v\"), min(\"v\") FROM \"gp\" GROUP BY time(1000ns)",
+      "SELECT min(\"z\"), max(\"nz\"), first(\"z\"), count(\"nz\") "
+      "FROM \"gp\" GROUP BY time(25ns)",
+      "SELECT min(\"z\"), max(\"nz\") FROM \"gp\" WHERE time >= 0",
+      // Ungrouped: the one-bucket case of the same fold.
+      "SELECT count(\"v\"), min(\"v\"), max(\"v\"), first(\"w\"), "
+      "last(\"w\") FROM \"gp\"",
+  };
+  const tsdb::RunConfig configs[] = {
+      {/*seal_rows=*/2, /*max_sealed=*/1, /*fold_ratio=*/0.25},
+      {/*seal_rows=*/16, /*max_sealed=*/2, /*fold_ratio=*/0.5},
+      {/*seal_rows=*/4096, /*max_sealed=*/8, /*fold_ratio=*/0.5},
+  };
+  const std::vector<tsdb::Point> workload = partials_workload();
+  for (std::size_t c = 0; c < std::size(configs); ++c) {
+    for (const bool compacted : {false, true}) {
+      tsdb::TimeSeriesDb db;
+      db.set_run_config(configs[c]);
+      for (std::size_t start = 0; start < workload.size(); start += 16) {
+        std::vector<tsdb::Point> batch(
+            workload.begin() + static_cast<std::ptrdiff_t>(start),
+            workload.begin() + static_cast<std::ptrdiff_t>(
+                                   std::min(start + 16, workload.size())));
+        ASSERT_TRUE(db.write_batch(std::move(batch)).is_ok());
+      }
+      if (compacted) db.compact();
+      for (const std::size_t threads : {1u, 2u, 4u}) {
+        util::TaskPool pool(threads);
+        ExecOptions opts;
+        opts.pool = &pool;
+        opts.parallel_min_rows = 1;
+        for (const char* text : texts) {
+          auto q = Query::parse(text);
+          ASSERT_TRUE(q.has_value()) << text;
+          expect_matches_row_evaluator(
+              db, *q, opts,
+              std::string(text) + " [config " + std::to_string(c) +
+                  (compacted ? ", compacted" : ", live") + ", " +
+                  std::to_string(threads) + " threads]");
+        }
+      }
     }
   }
 }

@@ -85,9 +85,32 @@ void load_demo(Fleet& fleet) {
   ASSERT_TRUE(fleet.flush().is_ok());
 }
 
-tsdb::QueryResult fat_node_answer(const Query& q) {
+/// demo_batch's shape with a rack tag that spans nodes, and values with
+/// many equal extremes across series.  With `nan_first` (measurement
+/// fleet_racks_nan) the fleet's first value is NaN.
+std::vector<tsdb::Point> rack_batch(bool nan_first) {
+  std::vector<tsdb::Point> batch;
+  for (std::size_t t = 0; t < kPerSeries; ++t) {
+    for (std::size_t s = 0; s < kSeries; ++s) {
+      tsdb::Point point;
+      point.measurement = nan_first ? "fleet_racks_nan" : "fleet_racks";
+      point.tags["rack"] = "r" + std::to_string(s / 8);
+      point.tags["series"] = series_id(s);
+      point.time = static_cast<TimeNs>(t + 1) * kStep;
+      point.fields["value"] =
+          nan_first && t == 0 && s == 0
+              ? std::nan("")
+              : static_cast<double>((s * 5 + t * 3) % 13) - 6.0;
+      batch.push_back(std::move(point));
+    }
+  }
+  return batch;
+}
+
+tsdb::QueryResult fat_node_answer(
+    const Query& q, std::vector<tsdb::Point> batch = demo_batch()) {
   tsdb::TimeSeriesDb fat;
-  EXPECT_TRUE(fat.write_batch(demo_batch()).is_ok());
+  EXPECT_TRUE(fat.write_batch(std::move(batch)).is_ok());
   auto result = query::run(fat, q);
   EXPECT_TRUE(result.has_value()) << result.status().to_string();
   return result.has_value() ? *result : tsdb::QueryResult{};
@@ -592,6 +615,65 @@ TEST(WireFleet, PushdownParityAndRawRows) {
   ASSERT_TRUE(rows.has_value());
   EXPECT_FALSE(rows->pushdown);
   expect_bitwise_equal(rows->result, fat_node_answer(raw), "raw rows");
+}
+
+// Grouped min/max/count push down over the wire at every fleet size and
+// match the fat node and the exact gather bit for bit; a NaN first value
+// sends the query to the exact gather.
+TEST(WireFleet, GroupedPushdownParityAndNaNFirst) {
+  const auto grouped = [](const char* measurement) {
+    return QueryBuilder(measurement)
+        .select(Aggregate::kMin, "value")
+        .select(Aggregate::kMax, "value")
+        .select(Aggregate::kCount, "value")
+        .where_tag("rack", "r2")
+        .since(2 * kStep)
+        .until(17 * kStep)
+        .group_by_time(4 * kStep)
+        .build();
+  };
+  const auto all = [](const char* measurement, TimeNs interval) {
+    QueryBuilder b(measurement);
+    b.select(Aggregate::kMax, "value");
+    if (interval > 0) b.group_by_time(interval);
+    return b.build();
+  };
+  for (int n = 1; n <= 5; ++n) {
+    Fleet fleet(wire_options());
+    join_nodes(fleet, n);
+    FleetOptions exact_options = wire_options();
+    exact_options.query.pushdown = false;
+    Fleet exact_fleet(exact_options);
+    join_nodes(exact_fleet, n);
+    for (Fleet* f : {&fleet, &exact_fleet}) {
+      for (const bool nan_first : {false, true}) {
+        ASSERT_TRUE(f->write_batch(rack_batch(nan_first)).is_ok());
+      }
+      ASSERT_TRUE(f->flush().is_ok());
+    }
+    for (const bool nan_first : {false, true}) {
+      const char* measurement = nan_first ? "fleet_racks_nan" : "fleet_racks";
+      for (const TimeNs interval : {TimeNs{-1}, 6 * kStep, TimeNs{0}}) {
+        const bool bounded = interval < 0;
+        const Query q =
+            bounded ? grouped(measurement) : all(measurement, interval);
+        const std::string label =
+            q.to_string() + " [" + std::to_string(n) + " nodes]";
+        auto got = fleet.query(q);
+        auto exact = exact_fleet.query(q);
+        ASSERT_TRUE(got.has_value()) << label;
+        ASSERT_TRUE(exact.has_value()) << label;
+        EXPECT_FALSE(got->degraded()) << label;
+        // The NaN lies outside the bounded query's rack and time range.
+        EXPECT_EQ(got->pushdown, !nan_first || bounded) << label;
+        expect_bitwise_equal(got->result,
+                             fat_node_answer(q, rack_batch(nan_first)),
+                             label + " vs fat node");
+        expect_bitwise_equal(got->result, exact->result,
+                             label + " vs exact gather");
+      }
+    }
+  }
 }
 
 TEST(WireFleet, NotFoundMatchesSingleNodeSemantics) {
