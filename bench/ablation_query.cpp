@@ -86,8 +86,8 @@ int main(int argc, char** argv) {
       "a linear probe of every series into a posting-list intersection\n"
       "(probes bounded by the smallest list), and the morsel-driven\n"
       "evaluator spreads the fold work across the shared pool without\n"
-      "moving a single result bit — count/min/max/first/last merge as\n"
-      "order-exact partials, sum-based folds keep their serial order per\n"
-      "field.  Dashboards get the speedup; parity tests keep the proof.\n");
+      "moving a single result bit — every aggregate folds into partials\n"
+      "that merge exactly, sums included (summed exactly, rounded once).\n"
+      "Dashboards get the speedup; parity tests keep the proof.\n");
   return report.passed() ? 0 : 1;
 }

@@ -298,8 +298,8 @@ Expected<FleetQueryResult> FleetQueryEngine::query_exact(
   // Canonical fleet row order: (time, tag set), ties in node order.  Two
   // points of one series never compare equal across nodes (a series lives
   // on exactly one node), and within a node stable_sort preserves the
-  // arrival order the router preserved — so the evaluator folds rows in
-  // the same order a single fat node would have.
+  // arrival order the router preserved.  Only first/last and raw rows read
+  // this order; every other aggregate is order-free.
   std::stable_sort(all.begin(), all.end(),
                    [](const tsdb::Point& a, const tsdb::Point& b) {
                      if (a.time != b.time) return a.time < b.time;

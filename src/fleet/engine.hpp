@@ -6,11 +6,12 @@
 //  * exact (default): nodes return their raw matching rows; the head
 //    concatenates them, stable-sorts by (time, tag set) — the canonical
 //    fleet row order — and runs the shared evaluator (query::execute) once
-//    over the union.  Because the evaluator and the fold order are the
-//    same as a single node's, the answer is bit-for-bit identical to a
-//    single fat node holding all the data (whenever that node's equal-time
-//    arrival order matches the canonical tag order; one series' points
-//    never reorder, because the router preserves per-series order).
+//    over the union.  Count, min/max and the exactly summed sum/mean/stddev
+//    do not depend on row order, so they are bit-for-bit identical to a
+//    single fat node holding all the data.  first/last and raw rows are
+//    too whenever that node's equal-time arrival order matches the
+//    canonical tag order (one series' points never reorder, because the
+//    router preserves per-series order).
 //
 //  * pushdown: when every selected aggregate is order-insensitive
 //    (min/max/count), grouped or not, nodes evaluate locally and the head

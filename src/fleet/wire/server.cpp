@@ -10,8 +10,6 @@ namespace pmove::fleet::wire {
 namespace {
 
 constexpr char kInstance[] = "server";
-/// Accept-poll tick: the upper bound on stop() latency.
-constexpr TimeNs kAcceptTickNs = 100'000'000;
 
 metrics::Counter& server_counter(const char* field) {
   return metrics::Registry::global().counter(metrics::kMeasurementWire,
@@ -51,9 +49,11 @@ Status FleetServer::start() {
 void FleetServer::stop() {
   if (!running_.exchange(false, std::memory_order_acq_rel)) return;
   stopping_.store(true, std::memory_order_release);
+  // Wakes the acceptor's blocking accept at once; the listener is closed
+  // only after the acceptor is gone, so its fd cannot be reused by a
+  // concurrent connect while the accept loop still waits on it.
+  listener_.shutdown_read();
   if (acceptor_.joinable()) acceptor_.join();
-  // Closed only after the acceptor is gone, so its fd cannot be reused by a
-  // concurrent connect while the accept loop still polls it.
   listener_.close();
   std::lock_guard<std::mutex> lock(conns_mutex_);
   for (auto& conn : conns_) conn.sock.shutdown_read();
@@ -65,7 +65,7 @@ void FleetServer::stop() {
 
 void FleetServer::accept_loop() {
   while (!stopping_.load(std::memory_order_acquire)) {
-    auto sock = net::tcp_accept(listener_, kAcceptTickNs);
+    auto sock = net::tcp_accept(listener_, /*timeout_ns=*/0);
     reap_finished();
     if (!sock) {
       if (sock.status().code() == ErrorCode::kDeadlineExceeded) continue;

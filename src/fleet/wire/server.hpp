@@ -1,11 +1,11 @@
 // FleetServer: one FleetNode behind a TCP listener.
 //
-// The wire half of a fleet member.  An acceptor thread polls the listener
-// (finite tick so stop() is prompt); each accepted connection gets a worker
-// thread running a serial request loop — read frame, dispatch to the node,
-// write the response.  Loopback-first: the default bind is 127.0.0.1 with a
-// kernel-assigned port, which is what the chaos drills, the CLI --wire
-// demo, and the benchmarks use.
+// The wire half of a fleet member.  An acceptor thread blocks in accept
+// (stop() shuts the listener down to wake it); each accepted connection
+// gets a worker thread running a serial request loop — read frame,
+// dispatch to the node, write the response.  Loopback-first: the default
+// bind is 127.0.0.1 with a kernel-assigned port, which is what the chaos
+// drills, the CLI --wire demo, and the benchmarks use.
 //
 // Robustness contract: hostile bytes (bad magic, bad CRC, forged lengths,
 // unknown versions) produce a best-effort error response and a closed

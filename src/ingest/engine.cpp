@@ -167,15 +167,11 @@ Status IngestEngine::reopen() {
 // --------------------------------------------------------------- write path
 
 Status IngestEngine::submit(Batch batch) {
-  return submit_internal(std::move(batch), SubmitMode::kPolicy, -1);
+  return submit_internal(std::move(batch), SubmitMode::kPolicy);
 }
 
 Status IngestEngine::try_submit(Batch batch) {
-  return submit_internal(std::move(batch), SubmitMode::kNever, -1);
-}
-
-Status IngestEngine::submit_with_timeout(Batch batch, TimeNs timeout_ns) {
-  return submit_internal(std::move(batch), SubmitMode::kTimeout, timeout_ns);
+  return submit_internal(std::move(batch), SubmitMode::kNever);
 }
 
 Status IngestEngine::write_batch(Batch points) {
@@ -228,8 +224,7 @@ Status IngestEngine::wal_append_batch(const Batch& batch) {
   return result;
 }
 
-Status IngestEngine::submit_internal(Batch batch, SubmitMode mode,
-                                     TimeNs timeout_ns) {
+Status IngestEngine::submit_internal(Batch batch, SubmitMode mode) {
   if (!running_) return Status::unavailable("ingest engine not open");
   if (batch.empty()) return Status::ok();
   for (const tsdb::Point& p : batch) {
@@ -285,10 +280,6 @@ Status IngestEngine::submit_internal(Batch batch, SubmitMode mode,
           break;
         }
         case BackpressurePolicy::kDrop:
-          if (mode == SubmitMode::kTimeout) {
-            blocked_submits_ += 1;
-            accepted = shard.queue.push_wait(std::move(parts[i]), timeout_ns);
-          }
           break;
       }
     }

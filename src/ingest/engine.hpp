@@ -165,11 +165,6 @@ class IngestEngine final : public tsdb::PointSink {
   /// kUnavailable.
   Status try_submit(std::vector<tsdb::Point> batch);
 
-  /// Blocks at most `timeout_ns` for queue space, then reports
-  /// kUnavailable (points beyond the timeout are dropped).
-  Status submit_with_timeout(std::vector<tsdb::Point> batch,
-                             TimeNs timeout_ns);
-
   /// Line-protocol entry point: decodes once, then submit().
   Status submit_lines(std::string_view text);
 
@@ -268,9 +263,9 @@ class IngestEngine final : public tsdb::PointSink {
     metrics::Gauge* m_depth = nullptr;      ///< queue depth at last submit
   };
 
-  enum class SubmitMode { kPolicy, kNever, kTimeout };
+  enum class SubmitMode { kPolicy, kNever };
 
-  Status submit_internal(Batch batch, SubmitMode mode, TimeNs timeout_ns);
+  Status submit_internal(Batch batch, SubmitMode mode);
   Status wal_append_batch(const Batch& batch);
   /// flush() minus the auto-checkpoint trigger (checkpoint() itself needs
   /// to drain without recursing).

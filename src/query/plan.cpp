@@ -7,10 +7,27 @@
 #include <map>
 #include <span>
 
-#include "tsdb/simd_kernels.hpp"
+#include "query/exact_sum.hpp"
 #include "util/task_pool.hpp"
 
 namespace pmove::query {
+
+namespace {
+
+// The sum-family rule, shared by both evaluators (docs/STORAGE.md §1):
+// sum is the exact sum rounded once; mean divides it by the count in one
+// IEEE division; stddev is 0 below two cells, else sqrt(round(D) /
+// (count - 1)), D the exact sum of fl(fl(v - mean)^2) over the cells.
+double mean_of(const ExactSum& sum, std::size_t count) {
+  return sum.value() / static_cast<double>(count);
+}
+
+double stddev_of(const ExactSum& deviations, std::size_t count) {
+  if (count < 2) return 0.0;
+  return std::sqrt(deviations.value() / static_cast<double>(count - 1));
+}
+
+}  // namespace
 
 Plan make_plan(Query query) {
   Plan plan;
@@ -44,16 +61,17 @@ double aggregate(Aggregate agg, std::span<const double> values,
     auto idx = std::max_element(times.begin(), times.end()) - times.begin();
     return values[static_cast<std::size_t>(idx)];
   }
-  double sum = 0.0;
-  for (double v : values) sum += v;
-  if (agg == Aggregate::kSum) return sum;
-  const double mean = sum / static_cast<double>(values.size());
+  ExactSum sum;
+  sum.add(values.data(), values.size());
+  if (agg == Aggregate::kSum) return sum.value();
+  const double mean = mean_of(sum, values.size());
   if (agg == Aggregate::kMean) return mean;
   if (agg == Aggregate::kStddev) {
-    if (values.size() < 2) return 0.0;
-    double acc = 0.0;
-    for (double v : values) acc += (v - mean) * (v - mean);
-    return std::sqrt(acc / static_cast<double>(values.size() - 1));
+    ExactSum deviations;
+    if (values.size() >= 2) {
+      deviations.add_squared_deviations(values.data(), values.size(), mean);
+    }
+    return stddev_of(deviations, values.size());
   }
   return std::nan("");
 }
@@ -200,174 +218,19 @@ std::vector<Selector> resolve_selectors(
   return selectors;
 }
 
-// Value of `agg` from a completed stats fold.  Bit-for-bit the result
-// aggregate() computes over the same cells in the same order (the fold's
-// parity contract, see tsdb/simd_kernels.hpp).  kStddev is excluded — it
-// needs the second deviation pass (stddev_value).
-double fold_value(Aggregate agg, const tsdb::simd::FieldFold& f) {
-  if (f.count == 0) return std::nan("");
-  switch (agg) {
-    case Aggregate::kCount:
-      return static_cast<double>(f.count);
-    case Aggregate::kMin:
-      return f.min;
-    case Aggregate::kMax:
-      return f.max;
-    case Aggregate::kFirst:
-      return f.first;
-    case Aggregate::kLast:
-      return f.last;
-    case Aggregate::kSum:
-      return f.sum;
-    case Aggregate::kMean:
-      return f.sum / static_cast<double>(f.count);
-    default:
-      return std::nan("");
-  }
-}
-
-double stddev_value(const tsdb::simd::FieldFold& f, double deviation) {
-  if (f.count == 0) return std::nan("");
-  if (f.count < 2) return 0.0;
-  return std::sqrt(deviation / static_cast<double>(f.count - 1));
-}
-
-// Evaluates every selector over logical rows [first, last) of a single
-// contiguous view, appending one aggregate value per selector to `row`.
-// Selectors sharing a field share one streaming stats pass (and one
-// deviation pass if any of them wants stddev) — the kernels stream the
-// column in blocks, so packed runs never materialize full columns.
-void fold_selectors_view(const tsdb::SeriesView& view,
-                         const std::vector<std::size_t>& field_of,
-                         const std::vector<Selector>& selectors,
-                         std::size_t first, std::size_t last,
-                         std::vector<double>& row) {
-  const std::size_t n = selectors.size();
-  std::vector<tsdb::simd::FieldFold> folds(n);
-  std::vector<std::size_t> owner(n);
-  for (std::size_t s = 0; s < n; ++s) {
-    owner[s] = s;
-    for (std::size_t p = 0; p < s; ++p) {
-      if (field_of[p] == field_of[s]) {
-        owner[s] = p;
-        break;
-      }
-    }
-    if (owner[s] == s && field_of[s] < view.field_count()) {
-      folds[s] = tsdb::simd::fold_field(view, field_of[s], first, last);
-    }
-  }
-  std::vector<double> dev(n, 0.0);
-  std::vector<char> dev_done(n, 0);
-  for (std::size_t s = 0; s < n; ++s) {
-    const std::size_t o = owner[s];
-    const tsdb::simd::FieldFold& f = folds[o];
-    if (selectors[s].aggregate != Aggregate::kStddev) {
-      row.push_back(fold_value(selectors[s].aggregate, f));
-      continue;
-    }
-    if (dev_done[o] == 0) {
-      dev_done[o] = 1;
-      if (f.count >= 2) {
-        const double mean = f.sum / static_cast<double>(f.count);
-        dev[o] =
-            tsdb::simd::deviation_sum(view, field_of[s], first, last, mean);
-      }
-    }
-    row.push_back(stddev_value(f, dev[o]));
-  }
-}
-
-// The merged multi-view counterpart: evaluates every selector over refs
-// [first, last) with ONE walk of the merged rows folding all distinct
-// fields at once (the old path re-walked the refs once per selector,
-// gathering into scratch vectors), plus one combined second walk when any
-// selector wants stddev.
-void fold_selectors_refs(std::span<const tsdb::SeriesView> views,
-                         const std::vector<std::vector<std::size_t>>& field_of,
-                         const std::vector<Selector>& selectors,
-                         const std::vector<tsdb::ViewRow>& refs,
-                         std::size_t first, std::size_t last,
-                         std::vector<double>& row) {
-  const std::size_t n = selectors.size();
-  std::vector<tsdb::simd::FieldFold> folds(n);
-  std::vector<std::size_t> owner(n);
-  std::vector<std::size_t> owners;
-  owners.reserve(n);
-  for (std::size_t s = 0; s < n; ++s) {
-    owner[s] = s;
-    for (std::size_t p = 0; p < s; ++p) {
-      if (selectors[p].field == selectors[s].field) {
-        owner[s] = p;
-        break;
-      }
-    }
-    if (owner[s] == s) owners.push_back(s);
-  }
-  for (std::size_t i = first; i < last; ++i) {
-    const tsdb::ViewRow& ref = refs[i];
-    const tsdb::SeriesView& view = views[ref.view];
-    for (const std::size_t s : owners) {
-      const std::size_t field = field_of[ref.view][s];
-      if (field >= view.field_count()) continue;
-      if (!view.has_value(field, ref.loc)) continue;
-      folds[s].add_one(view.value_at(field, ref.loc), ref.time);
-    }
-  }
-  std::vector<char> want_dev(n, 0);
-  bool any_dev = false;
-  for (std::size_t s = 0; s < n; ++s) {
-    if (selectors[s].aggregate == Aggregate::kStddev &&
-        folds[owner[s]].count >= 2) {
-      want_dev[owner[s]] = 1;
-      any_dev = true;
-    }
-  }
-  std::vector<tsdb::simd::DeviationFold> devs(n);
-  if (any_dev) {
-    for (std::size_t s = 0; s < n; ++s) {
-      if (want_dev[s] != 0) {
-        devs[s].mean = folds[s].sum / static_cast<double>(folds[s].count);
-      }
-    }
-    for (std::size_t i = first; i < last; ++i) {
-      const tsdb::ViewRow& ref = refs[i];
-      const tsdb::SeriesView& view = views[ref.view];
-      for (const std::size_t s : owners) {
-        if (want_dev[s] == 0) continue;
-        const std::size_t field = field_of[ref.view][s];
-        if (field >= view.field_count()) continue;
-        if (!view.has_value(field, ref.loc)) continue;
-        devs[s].add_one(view.value_at(field, ref.loc));
-      }
-    }
-  }
-  for (std::size_t s = 0; s < n; ++s) {
-    const std::size_t o = owner[s];
-    if (selectors[s].aggregate == Aggregate::kStddev) {
-      row.push_back(stddev_value(folds[o], devs[o].acc));
-    } else {
-      row.push_back(fold_value(selectors[s].aggregate, folds[o]));
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
-// Morsel-driven parallel execution.
+// Aggregates as mergeable partials.
 //
-// Every parallel decomposition below is determinism-exact: the result is
-// bit-for-bit identical at any thread count and any morsel boundary.
-// Three shapes make that possible:
-//   * group buckets, raw rows, and distinct aggregate fields are computed
-//     independently by the serial path already — partitioning them across
-//     workers changes nothing;
-//   * count/min/max/first/last decompose into order-exact partials
-//     (ExactPartial) whose merge reproduces the serial fold's semantics
-//     exactly, including NaN poisoning and first-of-equals ties — per
-//     morsel of one series, and per (series, GROUP BY bucket) of many;
-//   * sum/mean/stddev are order-sensitive floating-point folds and are
-//     NEVER chunk-merged — they only parallelize across distinct fields,
-//     each field's fold order unchanged.
+// Every aggregate query, grouped or not, over one series or many, folds
+// each unit of rows — a series, or a row-range morsel of a long contiguous
+// one — into one partial per (field, GROUP BY bucket), and merges each
+// bucket's partials.  The answer is bit-for-bit independent of thread
+// count, morsel boundaries and series placement:
+//   * count and the extremes' values are order-free, and sum/mean/stddev
+//     sum exactly (ExactSum) and round once;
+//   * first/last, and a min or max that zeros of both signs reach, follow
+//     the merged (time, seq) row order: partials compare (time, seq) keys
+//     when they tie.
 // Workers never call SeriesView::seq_at (its lazy decode is the one
 // non-const view access); seq tie-breaks resolve on the calling thread.
 
@@ -375,27 +238,8 @@ util::TaskPool& exec_pool(const ExecOptions& opts) {
   return opts.pool != nullptr ? *opts.pool : util::TaskPool::shared();
 }
 
-// True when every selector's aggregate decomposes into order-exact
-// partials (everything but the sequential sum-based folds).
-bool partials_exact(const std::vector<Selector>& selectors) {
-  if (selectors.empty()) return false;
-  for (const Selector& s : selectors) {
-    switch (s.aggregate) {
-      case Aggregate::kCount:
-      case Aggregate::kMin:
-      case Aggregate::kMax:
-      case Aggregate::kFirst:
-      case Aggregate::kLast:
-        break;
-      default:
-        return false;
-    }
-  }
-  return true;
-}
-
 // selector → position in `owners` of the first selector naming the same
-// field (the same field-name dedup the fold paths use).
+// field: selectors on one field share one partial.
 void dedup_owners(const std::vector<Selector>& selectors,
                   std::vector<std::size_t>& owner_pos,
                   std::vector<std::size_t>& owners) {
@@ -411,18 +255,22 @@ void dedup_owners(const std::vector<Selector>& selectors,
   }
 }
 
-// Per-morsel partial for the order-exact merge.  Unlike simd::FieldFold it
-// keeps enough structure to combine chunks without changing a result bit:
-// the present-cell count, the non-NaN count, the chunk's first and last
-// cells with their times, and NaN-skipping real min/max.
-// The serial fold's semantics are reproduced at read-out (exact_value):
-//   * min/max: FieldFold seeds from the first present value and `v < min`
-//     never replaces a NaN — so NaN poisons min/max iff the *globally
-//     first* present value is NaN; otherwise they are the non-NaN extremes
+bool needs_sum(Aggregate agg) {
+  return agg == Aggregate::kSum || agg == Aggregate::kMean ||
+         agg == Aggregate::kStddev;
+}
+
+// One field's partial over some cells: the present-cell count, the
+// non-NaN count, the first and last cells with their times, NaN-skipping
+// real min/max, and the exact sum (left empty unless a selector on the
+// field needs it).  exact_value reads the row evaluator's answers off it
+// (aggregate() over the same cells in (time, seq) order):
+//   * min/max: min_element/max_element seed from the first cell, and
+//     `v < min` never replaces a NaN — so NaN poisons min/max iff the
+//     first present value is NaN; otherwise they are the non-NaN extremes
 //     with first-of-equals ties (strict <).
 //   * first = the minimal-(time, seq) present cell; last = the first
-//     present cell carrying the maximal time (add_one updates last only on
-//     strictly greater time).
+//     present cell carrying the maximal time.
 struct ExactPartial {
   std::size_t count = 0;  ///< present cells
   std::size_t nn = 0;     ///< non-NaN present cells
@@ -432,6 +280,7 @@ struct ExactPartial {
   double rmax = 0.0;
   TimeNs first_time = 0;
   TimeNs last_time = 0;
+  ExactSum sum;
 
   void add_cell(double v, TimeNs t) {
     if (count == 0) {
@@ -452,36 +301,12 @@ struct ExactPartial {
       ++nn;
     }
   }
-
-  /// Merges `b`, all of whose rows follow this partial's rows in the
-  /// series' (time, seq) order — morsels of one series.  No seq keys
-  /// needed: times are non-decreasing across the boundary, and the strict
-  /// comparisons keep first-of-equals with the earlier morsel.
-  void append(const ExactPartial& b) {
-    if (b.count == 0) return;
-    if (count == 0) {
-      *this = b;
-      return;
-    }
-    if (b.last_time > last_time) {
-      last = b.last;
-      last_time = b.last_time;
-    }
-    count += b.count;
-    if (b.nn != 0) {
-      if (nn == 0) {
-        rmin = b.rmin;
-        rmax = b.rmax;
-      } else {
-        rmin = b.rmin < rmin ? b.rmin : rmin;
-        rmax = rmax < b.rmax ? b.rmax : rmax;
-      }
-      nn += b.nn;
-    }
-  }
 };
 
-double exact_value(Aggregate agg, const ExactPartial& p) {
+// Value of `agg` over the cells `p` folded; `deviations` is the stddev
+// pass's sum over the same cells, read by kStddev only.
+double exact_value(Aggregate agg, const ExactPartial& p,
+                   const ExactSum& deviations) {
   if (p.count == 0) return std::nan("");
   switch (agg) {
     case Aggregate::kCount:
@@ -494,20 +319,28 @@ double exact_value(Aggregate agg, const ExactPartial& p) {
       return std::isnan(p.first) ? p.first : p.rmin;
     case Aggregate::kMax:
       return std::isnan(p.first) ? p.first : p.rmax;
+    case Aggregate::kSum:
+      return p.sum.value();
+    case Aggregate::kMean:
+      return mean_of(p.sum, p.count);
+    case Aggregate::kStddev:
+      return stddev_of(deviations, p.count);
     default:
       return std::nan("");
   }
 }
 
-// Folds logical rows [a, b) of a contiguous view into an ExactPartial via
-// the same block streaming the fold kernels use.
+// Folds logical rows [a, b) of a contiguous view into an ExactPartial,
+// streaming the column in blocks (packed runs decode block by block into
+// stack buffers, never materializing full columns).
 ExactPartial fold_range_exact(const tsdb::SeriesView& view, std::size_t field,
-                              std::size_t a, std::size_t b) {
+                              std::size_t a, std::size_t b, bool with_sum) {
   ExactPartial p;
   if (field >= view.field_count()) return p;
   view.for_each_value_block(
       field, a, b, [&](const double* v, const TimeNs* t, std::size_t n) {
         for (std::size_t j = 0; j < n; ++j) p.add_cell(v[j], t[j]);
+        if (with_sum) p.sum.add(v, n);
       });
   return p;
 }
@@ -516,7 +349,7 @@ ExactPartial fold_range_exact(const tsdb::SeriesView& view, std::size_t field,
 // first and last present cells, and the cells that set rmin and rmax.
 enum Cell : std::size_t { kFirstCell, kLastCell, kMinCell, kMaxCell };
 
-// One series' partial over one bucket's rows, plus what a cross-series tie
+// One unit's partial over one bucket's rows, plus what a cross-partial tie
 // needs to find a Cell's (time, seq) merge key later, on the calling
 // thread — so the packed seq column decodes only when keys actually tie.
 // Contiguous views keep the bucket's logical rows [a, b) and find a cell
@@ -531,7 +364,8 @@ struct SeriesPartial {
 
   /// Row-walk form of ExactPartial::add_cell, keeping each Cell's Loc by
   /// the rules add_cell keeps its value.
-  void add_walked(tsdb::SeriesView::Loc loc, double v, TimeNs t) {
+  void add_walked(tsdb::SeriesView::Loc loc, double v, TimeNs t,
+                  bool with_sum) {
     if (p.count == 0) locs[kFirstCell] = loc;
     if (p.count == 0 || t > p.last_time) locs[kLastCell] = loc;
     if (v == v) {
@@ -539,6 +373,7 @@ struct SeriesPartial {
       if (p.nn == 0 || p.rmax < v) locs[kMaxCell] = loc;
     }
     p.add_cell(v, t);
+    if (with_sum) p.sum.add(v);
   }
 };
 
@@ -596,12 +431,12 @@ const SeriesPartial* earliest_cell(
   return best;
 }
 
-// Merges one bucket's per-series partials in the merged (time, seq) row
-// order's semantics.  count and the extremes' values are order-free.
-// first/last are keyed by (time, seq) across series, and so is a min or
-// max that several series reach with zeros of both signs — the only equal
-// values whose bits differ — since the serial fold keeps the earliest of
-// equals.  Seqs are read only for the partials that tie.
+// Merges one bucket's partials in the merged (time, seq) row order's
+// semantics.  count, the sums and the extremes' values are order-free.
+// first/last are keyed by (time, seq) across partials, and so is a min or
+// max that several partials reach with zeros of both signs — the only
+// equal values whose bits differ — since the row fold keeps the earliest
+// of equals.  Seqs are read only for the partials that tie.
 ExactPartial merge_series_partials(
     std::span<const SeriesPartial* const> parts) {
   const SeriesPartial* first = nullptr;
@@ -617,6 +452,7 @@ ExactPartial merge_series_partials(
     const ExactPartial& p = sp->p;
     if (p.count == 0) continue;
     out.count += p.count;
+    out.sum.merge(p.sum);
     if (first == nullptr || p.first_time < first->p.first_time) {
       first = sp;
       first_ties = 1;
@@ -654,7 +490,7 @@ ExactPartial merge_series_partials(
     });
   }
   if (last_ties > 1) {
-    // The serial fold's last is the FIRST cell at the maximal time
+    // The row fold's last is the FIRST cell at the maximal time
     // (strictly-greater update).
     const TimeNs t = last->p.last_time;
     last = earliest_cell(parts, kLastCell, [t](const SeriesPartial& sp) {
@@ -682,82 +518,74 @@ ExactPartial merge_series_partials(
   return out;
 }
 
-// Ungrouped count/min/max/first/last over one contiguous view: rows split
-// into morsels, one order-exact partial per (morsel, field), merged
-// positionally.  Chosen whenever the shape qualifies (not only when the
-// pool has workers) — with one thread the morsels just run inline, so
-// PMOVE_QUERY_THREADS=1 and =N execute identical arithmetic.
-void exec_exact_single(const tsdb::SeriesView& view,
-                       const std::vector<std::size_t>& field_of,
-                       const std::vector<Selector>& selectors,
-                       const ExecOptions& opts, util::TaskPool& pool,
-                       tsdb::QueryResult& result) {
-  const std::size_t rows = view.rows();
-  std::vector<std::size_t> owner_pos(selectors.size());
-  std::vector<std::size_t> owners;
-  dedup_owners(selectors, owner_pos, owners);
+// One unit of the fold: logical rows [a, b) of one view.  A view with live
+// runs is one unit; a contiguous view of at least parallel_min_rows rows
+// splits into row-range morsels (at most four per worker), so one long
+// series still folds on every worker.
+struct FoldUnit {
+  std::size_t view = 0;
+  std::size_t a = 0;
+  std::size_t b = 0;
+};
 
+std::vector<FoldUnit> fold_units(std::span<const tsdb::SeriesView> views,
+                                 const ExecOptions& opts,
+                                 std::size_t workers) {
   const std::size_t morsel = std::max<std::size_t>(1, opts.morsel_rows);
-  std::size_t chunks = rows / morsel + (rows % morsel != 0 ? 1 : 0);
-  chunks = std::max<std::size_t>(1, std::min(chunks, pool.size() * 4));
-  if (rows < opts.parallel_min_rows) chunks = 1;
-  std::vector<std::vector<ExactPartial>> parts(
-      chunks, std::vector<ExactPartial>(owners.size()));
-  pool.parallel_for(chunks, [&](std::size_t c) {
-    const std::size_t a = rows * c / chunks;
-    const std::size_t b = rows * (c + 1) / chunks;
-    for (std::size_t o = 0; o < owners.size(); ++o) {
-      parts[c][o] = fold_range_exact(view, field_of[owners[o]], a, b);
+  std::vector<FoldUnit> units;
+  units.reserve(views.size());
+  for (std::size_t v = 0; v < views.size(); ++v) {
+    const std::size_t rows = views[v].rows();
+    if (rows == 0) continue;
+    std::size_t pieces = 1;
+    if (views[v].contiguous() && rows >= opts.parallel_min_rows) {
+      pieces = std::clamp<std::size_t>((rows + morsel - 1) / morsel, 1,
+                                       workers * 4);
     }
-  });
-  std::vector<ExactPartial> merged(owners.size());
-  for (std::size_t c = 0; c < chunks; ++c) {
-    for (std::size_t o = 0; o < owners.size(); ++o) {
-      merged[o].append(parts[c][o]);
+    for (std::size_t c = 0; c < pieces; ++c) {
+      units.push_back({v, rows * c / pieces, rows * (c + 1) / pieces});
     }
   }
-  std::vector<double> row;
-  row.reserve(selectors.size() + 1);
-  row.push_back(rows == 0 ? 0.0 : static_cast<double>(view.times()[rows - 1]));
-  for (std::size_t s = 0; s < selectors.size(); ++s) {
-    row.push_back(exact_value(selectors[s].aggregate, merged[owner_pos[s]]));
-  }
-  result.rows.push_back(std::move(row));
+  return units;
 }
 
-// One bucket of one view: its start (0 when ungrouped) and the time of its
+// One bucket of one unit: its start (0 when ungrouped) and the time of its
 // last row, which stamps an ungrouped answer.
 struct BucketSlot {
   TimeNs key = 0;
   TimeNs last_time = 0;
 };
 
-// Most buckets `view` can fill: one when ungrouped, else every bucket from
-// its first row's to its last row's, and never more than its rows.
-std::size_t bucket_bound(const tsdb::SeriesView& view, TimeNs interval) {
-  if (view.rows() == 0) return 0;
+// Most buckets unit `u` of `view` can fill: one when ungrouped, else every
+// bucket from its first row's to its last row's, and never more than its
+// rows.
+std::size_t bucket_bound(const tsdb::SeriesView& view, const FoldUnit& u,
+                         TimeNs interval) {
   if (interval <= 0) return 1;
-  const TimeNs first = tsdb::SeriesView::RowCursor(view).time();
-  const TimeNs last = view.last_row_time();
+  const bool morsel = view.contiguous();
+  const TimeNs first = morsel ? view.times()[u.a]
+                              : tsdb::SeriesView::RowCursor(view).time();
+  const TimeNs last = morsel ? view.times()[u.b - 1] : view.last_row_time();
   // Unsigned: two int64 bucket starts can lie more than INT64_MAX apart.
   const std::uint64_t steps =
       (static_cast<std::uint64_t>(bucket_start(last, interval)) -
        static_cast<std::uint64_t>(bucket_start(first, interval))) /
       static_cast<std::uint64_t>(interval);
   return static_cast<std::size_t>(
-             std::min<std::uint64_t>(view.rows() - 1, steps)) +
+             std::min<std::uint64_t>(u.b - u.a - 1, steps)) +
          1;
 }
 
-// Folds one view into per-bucket partials, buckets ascending: each used
-// bucket fills one slot and `fields.size()` partials, one per field.
+// Folds unit `u` of `view` into per-bucket partials, buckets ascending:
+// each used bucket fills one slot and `fields.size()` partials, one per
+// field; `sums[f]` says whether field f's partials carry the exact sum.
 // Returns the buckets used (at most bucket_bound).  Contiguous views find
-// each bucket's rows by partition_point and stream them through the block
-// kernels; views with live runs walk their rows once for every field.
-std::size_t fold_view_buckets(const tsdb::SeriesView& view,
+// each bucket's rows by partition_point and stream them in blocks; views
+// with live runs walk their rows once for every field.
+std::size_t fold_unit_buckets(const tsdb::SeriesView& view, const FoldUnit& u,
                               std::span<const std::size_t> fields,
-                              TimeNs interval, BucketSlot* slots,
-                              SeriesPartial* parts) {
+                              std::span<const char> sums, TimeNs interval,
+                              BucketSlot* slots, SeriesPartial* parts) {
   const std::size_t nf = fields.size();
   const auto bucket_of = [interval](TimeNs t) {
     return interval > 0 ? bucket_start(t, interval) : TimeNs{0};
@@ -765,11 +593,12 @@ std::size_t fold_view_buckets(const tsdb::SeriesView& view,
   std::size_t used = 0;
   if (view.contiguous()) {
     const auto times = view.times();
-    for (std::size_t i = 0; i < times.size(); ++used) {
+    const auto end = times.begin() + static_cast<std::ptrdiff_t>(u.b);
+    for (std::size_t i = u.a; i < u.b; ++used) {
       const TimeNs key = bucket_of(times[i]);
       const auto j = static_cast<std::size_t>(
           std::partition_point(
-              times.begin() + static_cast<std::ptrdiff_t>(i), times.end(),
+              times.begin() + static_cast<std::ptrdiff_t>(i), end,
               [&](TimeNs t) { return bucket_of(t) == key; }) -
           times.begin());
       slots[used] = {key, times[j - 1]};
@@ -779,7 +608,7 @@ std::size_t fold_view_buckets(const tsdb::SeriesView& view,
         sp.field = fields[f];
         sp.a = i;
         sp.b = j;
-        sp.p = fold_range_exact(view, fields[f], i, j);
+        sp.p = fold_range_exact(view, fields[f], i, j, sums[f] != 0);
       }
       i = j;
     }
@@ -800,52 +629,106 @@ std::size_t fold_view_buckets(const tsdb::SeriesView& view,
     for (std::size_t f = 0; f < nf; ++f) {
       const std::size_t field = fields[f];
       if (field >= view.field_count() || !view.has_value(field, loc)) continue;
-      bucket[f].add_walked(loc, view.value_at(field, loc), t);
+      bucket[f].add_walked(loc, view.value_at(field, loc), t, sums[f] != 0);
     }
   });
   return used;
 }
 
-// count/min/max/first/last over several views (or one with live runs),
-// per GROUP BY time() bucket — ungrouped is the one-bucket case, stamped
-// like the serial fold with the last matched time.  One task per view
-// folds its rows into per-bucket partials in series order, skipping the
-// merged row list entirely; then each bucket's partials merge under the
-// (time, seq) keys on this thread, where a view's lazy seq column may
-// decode.  Rows are the serial fold's: one per bucket holding any matched
-// row, ascending, stamped with the bucket start.
-void exec_exact_buckets(std::span<const tsdb::SeriesView> views,
-                        const std::vector<std::vector<std::size_t>>& field_of,
-                        const std::vector<Selector>& selectors,
-                        TimeNs interval, util::TaskPool& pool,
-                        tsdb::QueryResult& result) {
+// The stddev pass over one unit's `used` slots, folded by
+// fold_unit_buckets: adds fl(fl(v - m)^2) of each slot's cells of every
+// field f with devs_wanted[f] into devs, m being means[] of that slot and
+// field — the mean of the whole bucket the slot belongs to.
+void fold_unit_deviations(const tsdb::SeriesView& view, TimeNs interval,
+                          std::span<const char> devs_wanted,
+                          std::size_t used, const BucketSlot* slots,
+                          const SeriesPartial* parts, const double* means,
+                          ExactSum* devs) {
+  const std::size_t nf = devs_wanted.size();
+  if (view.contiguous()) {
+    for (std::size_t k = 0; k < used * nf; ++k) {
+      const SeriesPartial& sp = parts[k];
+      if (devs_wanted[k % nf] == 0 || sp.field >= view.field_count()) continue;
+      view.for_each_value_block(
+          sp.field, sp.a, sp.b,
+          [&](const double* v, const TimeNs*, std::size_t n) {
+            devs[k].add_squared_deviations(v, n, means[k]);
+          });
+    }
+    return;
+  }
+  std::size_t k = 0;  // slot of the current row, plus one
+  view.for_each_row([&](tsdb::SeriesView::Loc loc, TimeNs t) {
+    const TimeNs key = interval > 0 ? bucket_start(t, interval) : TimeNs{0};
+    if (k == 0 || key != slots[k - 1].key) ++k;
+    for (std::size_t f = 0; f < nf; ++f) {
+      const SeriesPartial& sp = parts[(k - 1) * nf + f];
+      if (devs_wanted[f] == 0 || sp.field >= view.field_count() ||
+          !view.has_value(sp.field, loc)) {
+        continue;
+      }
+      const double v = view.value_at(sp.field, loc);
+      devs[(k - 1) * nf + f].add_squared_deviations(&v, 1,
+                                                    means[(k - 1) * nf + f]);
+    }
+  });
+}
+
+// Every aggregate over the views, per GROUP BY time() bucket — ungrouped
+// is the one-bucket case, stamped like the row evaluator with the last
+// matched time.  One task per unit folds its rows into per-bucket
+// partials; then each bucket's partials merge on this thread, where a
+// view's lazy seq column may decode.  With a stddev selector, a second
+// pass over the same units sums each cell's squared deviation from its
+// bucket's mean.  Rows are the row evaluator's: one per bucket holding
+// any matched row, ascending, stamped with the bucket start.
+void exec_buckets(std::span<const tsdb::SeriesView> views,
+                  const std::vector<std::vector<std::size_t>>& field_of,
+                  const std::vector<Selector>& selectors, TimeNs interval,
+                  const ExecOptions& opts, util::TaskPool& pool,
+                  tsdb::QueryResult& result) {
   std::vector<std::size_t> owner_pos(selectors.size());
   std::vector<std::size_t> owners;
   dedup_owners(selectors, owner_pos, owners);
-  const std::size_t nv = views.size();
   const std::size_t no = owners.size();
-  std::vector<std::size_t> fields(nv * no);
-  std::vector<std::size_t> offset(nv + 1, 0);
-  for (std::size_t v = 0; v < nv; ++v) {
-    for (std::size_t o = 0; o < no; ++o) {
-      fields[v * no + o] = field_of[v][owners[o]];
+  std::vector<char> sums(no, 0);
+  std::vector<char> devs_wanted(no, 0);
+  for (std::size_t s = 0; s < selectors.size(); ++s) {
+    if (needs_sum(selectors[s].aggregate)) sums[owner_pos[s]] = 1;
+    if (selectors[s].aggregate == Aggregate::kStddev) {
+      devs_wanted[owner_pos[s]] = 1;
     }
-    offset[v + 1] = offset[v] + bucket_bound(views[v], interval);
   }
-  std::vector<BucketSlot> slots(offset[nv]);
-  std::vector<SeriesPartial> parts(offset[nv] * no);
-  std::vector<std::size_t> used(nv);
-  pool.parallel_for(nv, [&](std::size_t v) {
-    used[v] = fold_view_buckets(
-        views[v], std::span<const std::size_t>(fields.data() + v * no, no),
-        interval, slots.data() + offset[v], parts.data() + offset[v] * no);
+  const bool any_dev =
+      std::find(devs_wanted.begin(), devs_wanted.end(), 1) !=
+      devs_wanted.end();
+
+  const std::vector<FoldUnit> units = fold_units(views, opts, pool.size());
+  const std::size_t nu = units.size();
+  std::vector<std::size_t> fields(nu * no);
+  std::vector<std::size_t> offset(nu + 1, 0);
+  for (std::size_t u = 0; u < nu; ++u) {
+    for (std::size_t o = 0; o < no; ++o) {
+      fields[u * no + o] = field_of[units[u].view][owners[o]];
+    }
+    offset[u + 1] =
+        offset[u] + bucket_bound(views[units[u].view], units[u], interval);
+  }
+  std::vector<BucketSlot> slots(offset[nu]);
+  std::vector<SeriesPartial> parts(offset[nu] * no);
+  std::vector<std::size_t> used(nu);
+  pool.parallel_for(nu, [&](std::size_t u) {
+    used[u] = fold_unit_buckets(
+        views[units[u].view], units[u],
+        std::span<const std::size_t>(fields.data() + u * no, no), sums,
+        interval, slots.data() + offset[u], parts.data() + offset[u] * no);
   });
 
-  // Every used slot in (bucket, view) order; one bucket is already in it.
+  // Every used slot in (bucket, unit) order; one bucket is already in it.
   std::vector<std::size_t> order;
-  order.reserve(offset[nv]);
-  for (std::size_t v = 0; v < nv; ++v) {
-    for (std::size_t k = 0; k < used[v]; ++k) order.push_back(offset[v] + k);
+  order.reserve(offset[nu]);
+  for (std::size_t u = 0; u < nu; ++u) {
+    for (std::size_t k = 0; k < used[u]; ++k) order.push_back(offset[u] + k);
   }
   if (interval > 0) {
     std::sort(order.begin(), order.end(), [&](std::size_t x, std::size_t y) {
@@ -853,143 +736,81 @@ void exec_exact_buckets(std::span<const tsdb::SeriesView> views,
                                           : x < y;
     });
   }
-  std::vector<ExactPartial> merged(no);
-  std::vector<const SeriesPartial*> column;
-  const auto emit = [&](TimeNs stamp, std::size_t g, std::size_t h) {
-    for (std::size_t o = 0; o < no; ++o) {
-      column.clear();
-      for (std::size_t e = g; e < h; ++e) {
-        column.push_back(&parts[order[e] * no + o]);
-      }
-      merged[o] = merge_series_partials(column);
-    }
-    std::vector<double> row;
-    row.reserve(selectors.size() + 1);
-    row.push_back(static_cast<double>(stamp));
-    for (std::size_t s = 0; s < selectors.size(); ++s) {
-      row.push_back(exact_value(selectors[s].aggregate, merged[owner_pos[s]]));
-    }
-    result.rows.push_back(std::move(row));
+  // Each bucket is a run [begin, end) of `order`.
+  struct Bucket {
+    TimeNs stamp = 0;
+    std::size_t begin = 0;
+    std::size_t end = 0;
   };
+  std::vector<Bucket> buckets;
   for (std::size_t g = 0, h = 0; g < order.size(); g = h) {
     const TimeNs key = slots[order[g]].key;
     TimeNs last = slots[order[g]].last_time;
     for (h = g; h < order.size() && slots[order[h]].key == key; ++h) {
       last = std::max(last, slots[order[h]].last_time);
     }
-    emit(interval > 0 ? key : last, g, h);
+    buckets.push_back({interval > 0 ? key : last, g, h});
   }
   // Ungrouped always answers one row: stamp 0 and NaNs when nothing matched.
-  if (interval <= 0 && result.rows.empty()) emit(0, 0, 0);
-}
+  if (interval <= 0 && buckets.empty()) buckets.push_back({});
 
-// Parallel-across-fields variant of fold_selectors_view, for the
-// order-sensitive aggregates the partial path excludes: each distinct
-// field's fold (and its deviation pass) runs as one task, in exactly the
-// order the serial fold would run it.
-void fold_selectors_view_parallel(const tsdb::SeriesView& view,
-                                  const std::vector<std::size_t>& field_of,
-                                  const std::vector<Selector>& selectors,
-                                  std::size_t first, std::size_t last,
-                                  util::TaskPool& pool,
-                                  std::vector<double>& row) {
-  const std::size_t n = selectors.size();
-  std::vector<std::size_t> owner_pos(n);
-  std::vector<std::size_t> owners;
-  dedup_owners(selectors, owner_pos, owners);
-  std::vector<char> want_dev(owners.size(), 0);
-  for (std::size_t s = 0; s < n; ++s) {
-    if (selectors[s].aggregate == Aggregate::kStddev) {
-      want_dev[owner_pos[s]] = 1;
-    }
-  }
-  std::vector<tsdb::simd::FieldFold> folds(owners.size());
-  std::vector<double> dev(owners.size(), 0.0);
-  pool.parallel_for(owners.size(), [&](std::size_t o) {
-    const std::size_t field = field_of[owners[o]];
-    if (field >= view.field_count()) return;
-    folds[o] = tsdb::simd::fold_field(view, field, first, last);
-    if (want_dev[o] != 0 && folds[o].count >= 2) {
-      const double mean =
-          folds[o].sum / static_cast<double>(folds[o].count);
-      dev[o] = tsdb::simd::deviation_sum(view, field, first, last, mean);
-    }
-  });
-  for (std::size_t s = 0; s < n; ++s) {
-    const std::size_t o = owner_pos[s];
-    if (selectors[s].aggregate == Aggregate::kStddev) {
-      row.push_back(stddev_value(folds[o], dev[o]));
-    } else {
-      row.push_back(fold_value(selectors[s].aggregate, folds[o]));
-    }
-  }
-}
-
-// Parallel-across-fields variant of fold_selectors_refs: each distinct
-// field walks the merged refs independently — the per-field add_one
-// sequence is identical to its slice of the combined serial walk.
-// Workers read cells via has_value/value_at only (pure const reads).
-void fold_selectors_refs_parallel(
-    std::span<const tsdb::SeriesView> views,
-    const std::vector<std::vector<std::size_t>>& field_of,
-    const std::vector<Selector>& selectors,
-    const std::vector<tsdb::ViewRow>& refs, std::size_t first,
-    std::size_t last, util::TaskPool& pool, std::vector<double>& row) {
-  const std::size_t n = selectors.size();
-  std::vector<std::size_t> owner_pos(n);
-  std::vector<std::size_t> owners;
-  dedup_owners(selectors, owner_pos, owners);
-  std::vector<char> want_dev(owners.size(), 0);
-  for (std::size_t s = 0; s < n; ++s) {
-    if (selectors[s].aggregate == Aggregate::kStddev) {
-      want_dev[owner_pos[s]] = 1;
-    }
-  }
-  std::vector<tsdb::simd::FieldFold> folds(owners.size());
-  std::vector<double> dev(owners.size(), 0.0);
-  pool.parallel_for(owners.size(), [&](std::size_t o) {
-    const std::size_t sel = owners[o];
-    tsdb::simd::FieldFold fold;
-    for (std::size_t i = first; i < last; ++i) {
-      const tsdb::ViewRow& ref = refs[i];
-      const tsdb::SeriesView& view = views[ref.view];
-      const std::size_t field = field_of[ref.view][sel];
-      if (field >= view.field_count()) continue;
-      if (!view.has_value(field, ref.loc)) continue;
-      fold.add_one(view.value_at(field, ref.loc), ref.time);
-    }
-    folds[o] = fold;
-    if (want_dev[o] != 0 && fold.count >= 2) {
-      tsdb::simd::DeviationFold d;
-      d.mean = fold.sum / static_cast<double>(fold.count);
-      for (std::size_t i = first; i < last; ++i) {
-        const tsdb::ViewRow& ref = refs[i];
-        const tsdb::SeriesView& view = views[ref.view];
-        const std::size_t field = field_of[ref.view][sel];
-        if (field >= view.field_count()) continue;
-        if (!view.has_value(field, ref.loc)) continue;
-        d.add_one(view.value_at(field, ref.loc));
+  const std::size_t nb = buckets.size();
+  std::vector<ExactPartial> merged(nb * no);
+  std::vector<const SeriesPartial*> column;
+  for (std::size_t b = 0; b < nb; ++b) {
+    for (std::size_t o = 0; o < no; ++o) {
+      column.clear();
+      for (std::size_t e = buckets[b].begin; e < buckets[b].end; ++e) {
+        column.push_back(&parts[order[e] * no + o]);
       }
-      dev[o] = d.acc;
-    }
-  });
-  for (std::size_t s = 0; s < n; ++s) {
-    const std::size_t o = owner_pos[s];
-    if (selectors[s].aggregate == Aggregate::kStddev) {
-      row.push_back(stddev_value(folds[o], dev[o]));
-    } else {
-      row.push_back(fold_value(selectors[s].aggregate, folds[o]));
+      merged[b * no + o] = merge_series_partials(column);
     }
   }
-}
 
-// Distinct fields among the selectors (the unit of field-level
-// parallelism for the order-sensitive aggregates).
-std::size_t distinct_fields(const std::vector<Selector>& selectors) {
-  std::vector<std::size_t> owner_pos(selectors.size());
-  std::vector<std::size_t> owners;
-  dedup_owners(selectors, owner_pos, owners);
-  return owners.size();
+  std::vector<ExactSum> deviations(any_dev ? nb * no : 0);
+  if (any_dev) {
+    std::vector<double> means(offset[nu] * no, 0.0);
+    for (std::size_t b = 0; b < nb; ++b) {
+      for (std::size_t o = 0; o < no; ++o) {
+        const ExactPartial& m = merged[b * no + o];
+        if (devs_wanted[o] == 0 || m.count < 2) continue;
+        const double mean = mean_of(m.sum, m.count);
+        for (std::size_t e = buckets[b].begin; e < buckets[b].end; ++e) {
+          means[order[e] * no + o] = mean;
+        }
+      }
+    }
+    std::vector<ExactSum> devs(offset[nu] * no);
+    pool.parallel_for(nu, [&](std::size_t u) {
+      fold_unit_deviations(views[units[u].view], interval, devs_wanted,
+                           used[u], slots.data() + offset[u],
+                           parts.data() + offset[u] * no,
+                           means.data() + offset[u] * no,
+                           devs.data() + offset[u] * no);
+    });
+    for (std::size_t b = 0; b < nb; ++b) {
+      for (std::size_t o = 0; o < no; ++o) {
+        if (devs_wanted[o] == 0) continue;
+        for (std::size_t e = buckets[b].begin; e < buckets[b].end; ++e) {
+          deviations[b * no + o].merge(devs[order[e] * no + o]);
+        }
+      }
+    }
+  }
+
+  const ExactSum none;
+  result.rows.reserve(nb);
+  for (std::size_t b = 0; b < nb; ++b) {
+    std::vector<double> row;
+    row.reserve(selectors.size() + 1);
+    row.push_back(static_cast<double>(buckets[b].stamp));
+    for (std::size_t s = 0; s < selectors.size(); ++s) {
+      const std::size_t o = owner_pos[s];
+      row.push_back(exact_value(selectors[s].aggregate, merged[b * no + o],
+                                any_dev ? deviations[b * no + o] : none));
+    }
+    result.rows.push_back(std::move(row));
+  }
 }
 
 }  // namespace
@@ -1035,71 +856,18 @@ Expected<tsdb::QueryResult> execute_columnar(
 
   util::TaskPool& pool = exec_pool(opts);
 
+  if (any_aggregate) {
+    exec_buckets(views, field_of, selectors, q.group_interval, opts, pool,
+                 result);
+    return result;
+  }
+
+  // Raw rows, in the merged (time, seq) row order.
   if (views.size() == 1 && views[0].contiguous()) {
-    // Fast path: one matching series, fully compacted.  Rows are already
-    // in (time, seq) order; aggregates stream the columns through the
-    // vectorized fold kernels (packed runs decode block-by-block into
-    // stack buffers, never materializing full columns).
+    // One matching series, fully compacted: its rows are already in
+    // order, so they copy straight out of the column spans.
     const tsdb::SeriesView& view = views[0];
     const std::size_t rows = view.rows();
-    if (q.group_interval > 0) {
-      // Bucket boundaries up front (partition_point jumps over each
-      // bucket's sorted run), then one task per bucket — the serial path
-      // evaluates buckets independently, so partitioning them across
-      // workers cannot change a bit.
-      const auto times = view.times();
-      std::vector<std::size_t> starts;
-      std::size_t i = 0;
-      while (i < rows) {
-        starts.push_back(i);
-        const TimeNs bucket = bucket_start(times[i], q.group_interval);
-        i = static_cast<std::size_t>(
-            std::partition_point(times.begin() + static_cast<std::ptrdiff_t>(i),
-                                 times.end(),
-                                 [&](TimeNs t) {
-                                   return bucket_start(t, q.group_interval) ==
-                                          bucket;
-                                 }) -
-            times.begin());
-      }
-      result.rows.resize(starts.size());
-      const auto eval_bucket = [&](std::size_t k) {
-        const std::size_t a = starts[k];
-        const std::size_t b = k + 1 < starts.size() ? starts[k + 1] : rows;
-        std::vector<double> row;
-        row.reserve(selectors.size() + 1);
-        row.push_back(
-            static_cast<double>(bucket_start(times[a], q.group_interval)));
-        fold_selectors_view(view, field_of[0], selectors, a, b, row);
-        result.rows[k] = std::move(row);
-      };
-      if (pool.size() > 1 && starts.size() > 1 &&
-          rows >= opts.parallel_min_rows) {
-        pool.parallel_for(starts.size(), eval_bucket);
-      } else {
-        for (std::size_t k = 0; k < starts.size(); ++k) eval_bucket(k);
-      }
-      return result;
-    }
-    if (any_aggregate) {
-      if (partials_exact(selectors)) {
-        exec_exact_single(view, field_of[0], selectors, opts, pool, result);
-        return result;
-      }
-      std::vector<double> row;
-      row.reserve(selectors.size() + 1);
-      row.push_back(rows == 0 ? 0.0
-                              : static_cast<double>(view.times()[rows - 1]));
-      if (pool.size() > 1 && distinct_fields(selectors) > 1 &&
-          rows >= opts.parallel_min_rows) {
-        fold_selectors_view_parallel(view, field_of[0], selectors, 0, rows,
-                                     pool, row);
-      } else {
-        fold_selectors_view(view, field_of[0], selectors, 0, rows, row);
-      }
-      result.rows.push_back(std::move(row));
-      return result;
-    }
     const auto times = view.times();
     result.rows.resize(rows);
     const auto fill_row = [&](std::size_t r) {
@@ -1130,71 +898,7 @@ Expected<tsdb::QueryResult> execute_columnar(
     return result;
   }
 
-  // General path: several matching series (or one with live runs).  The
-  // partial-exact aggregates skip the merged row list entirely — each
-  // series folds into per-bucket partials in its own order and each
-  // bucket's partials merge under the (time, seq) keys.  Everything else
-  // merges into the seed row store's (time, seq) point order before
-  // evaluation.
-  if (any_aggregate && partials_exact(selectors)) {
-    exec_exact_buckets(views, field_of, selectors, q.group_interval, pool,
-                       result);
-    return result;
-  }
-
   const std::vector<tsdb::ViewRow> refs = tsdb::merged_view_rows(views);
-
-  if (q.group_interval > 0) {
-    std::vector<std::size_t> starts;
-    std::size_t i = 0;
-    while (i < refs.size()) {
-      starts.push_back(i);
-      const TimeNs bucket = bucket_start(refs[i].time, q.group_interval);
-      i = static_cast<std::size_t>(
-          std::partition_point(refs.begin() + static_cast<std::ptrdiff_t>(i),
-                               refs.end(),
-                               [&](const tsdb::ViewRow& r) {
-                                 return bucket_start(r.time,
-                                                     q.group_interval) ==
-                                        bucket;
-                               }) -
-          refs.begin());
-    }
-    result.rows.resize(starts.size());
-    const auto eval_bucket = [&](std::size_t k) {
-      const std::size_t a = starts[k];
-      const std::size_t b = k + 1 < starts.size() ? starts[k + 1] : refs.size();
-      std::vector<double> row;
-      row.reserve(selectors.size() + 1);
-      row.push_back(
-          static_cast<double>(bucket_start(refs[a].time, q.group_interval)));
-      fold_selectors_refs(views, field_of, selectors, refs, a, b, row);
-      result.rows[k] = std::move(row);
-    };
-    if (pool.size() > 1 && starts.size() > 1 &&
-        refs.size() >= opts.parallel_min_rows) {
-      pool.parallel_for(starts.size(), eval_bucket);
-    } else {
-      for (std::size_t k = 0; k < starts.size(); ++k) eval_bucket(k);
-    }
-    return result;
-  }
-  if (any_aggregate) {
-    std::vector<double> row;
-    row.reserve(selectors.size() + 1);
-    row.push_back(refs.empty() ? 0.0
-                               : static_cast<double>(refs.back().time));
-    if (pool.size() > 1 && distinct_fields(selectors) > 1 &&
-        refs.size() >= opts.parallel_min_rows) {
-      fold_selectors_refs_parallel(views, field_of, selectors, refs, 0,
-                                   refs.size(), pool, row);
-    } else {
-      fold_selectors_refs(views, field_of, selectors, refs, 0, refs.size(),
-                          row);
-    }
-    result.rows.push_back(std::move(row));
-    return result;
-  }
   result.rows.resize(refs.size());
   const auto fill_ref_row = [&](std::size_t r) {
     const tsdb::ViewRow& ref = refs[r];

@@ -9,6 +9,11 @@
 // gather) and is bit-for-bit identical to the columnar evaluator over the
 // same rows.
 //
+// Only first/last and raw row order depend on the (time, seq) order of the
+// rows (and the sign of a min/max that zeros of both signs tie for).  Sum,
+// mean and stddev sum exactly and round once (query/exact_sum.hpp), so
+// like count/min/max they depend only on which cells matched.
+//
 // Data-dependent validation (SELECT * resolution, the raw/aggregate mixing
 // rules) happens inside execute(), exactly where the seed's monolithic
 // query() performed it, so error behaviour is unchanged.
@@ -47,8 +52,9 @@ Plan make_plan(Query query);
 
 /// Aggregates `values` (gathered in time order, with `times` parallel to
 /// it).  Empty input yields NaN; stddev of fewer than two values is 0.
-/// Spans so the columnar path can aggregate straight over column slices
-/// without copying; vectors convert implicitly.
+/// sum is the exact sum rounded once, mean divides it by the count, and
+/// stddev sums each rounded squared deviation from the mean exactly
+/// (docs/STORAGE.md §1).
 double aggregate(Aggregate agg, std::span<const double> values,
                  std::span<const TimeNs> times);
 
@@ -58,29 +64,26 @@ double aggregate(Aggregate agg, std::span<const double> values,
 Expected<tsdb::QueryResult> execute(const Plan& plan,
                                     const std::vector<tsdb::Point>& matches);
 
-/// Parallel-execution knobs for the columnar evaluator.  Decompositions
-/// are chosen so the result is independent of thread count and morsel
-/// boundaries: every parallel path either partitions work whose results
-/// the serial path would compute independently anyway (group buckets, raw
-/// rows, distinct aggregate fields) or merges order-exact partials
-/// (count/min/max/first/last).  Order-sensitive floating-point folds
-/// (sum/mean/stddev) are never chunk-merged.
+/// Parallel-execution knobs for the columnar evaluator.  The result is
+/// independent of thread count and morsel boundaries: raw rows partition
+/// into ranges, and every aggregate folds into partials — per series, or
+/// per morsel of a long contiguous one — that merge exactly in any order.
 struct ExecOptions {
   /// Worker pool; null means util::TaskPool::shared().  A pool of size 1
   /// executes everything on the calling thread (serial).
   util::TaskPool* pool = nullptr;
-  /// Minimum merged row count before row-partitioned paths (grouped
-  /// buckets, raw materialization, morsel splits) fan out.
+  /// Minimum row count before raw materialization fans out and before a
+  /// contiguous series splits into morsels.
   std::size_t parallel_min_rows = 4096;
   /// Target rows per morsel when a single packed series is split.
   std::size_t morsel_rows = 65536;
 };
 
 /// Evaluates a plan directly over zero-copy SeriesView cursors, inside a
-/// TimeSeriesDb::scan() callback.  Aggregates run over the views' rows in
-/// merged (time, seq) order (no Point materialization); results are
-/// bit-for-bit identical to execute() over the same rows collected as
-/// points, including the order floating-point folds happen in.
+/// TimeSeriesDb::scan() callback, with no Point materialization.  Two
+/// shapes: raw rows in merged (time, seq) order, and one bucketed partial
+/// fold for every aggregate query.  Results are bit-for-bit identical to
+/// execute() over the same rows collected as points.
 Expected<tsdb::QueryResult> execute_columnar(
     const Plan& plan, std::span<const tsdb::SeriesView> views);
 Expected<tsdb::QueryResult> execute_columnar(

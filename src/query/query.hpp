@@ -52,12 +52,12 @@ std::string_view to_string(Aggregate aggregate);
 /// parser ("unknown aggregate function: <name>").
 Expected<Aggregate> parse_aggregate(std::string_view name);
 
-/// True when the aggregate folds values with an operation whose result does
-/// not depend on evaluation order (min/max/count), so partial results from
-/// disjoint row sets can be merged exactly in any order.  Everything else
-/// (mean, sum, stddev: FP addition order; first/last: positional) must be
-/// re-evaluated over rows gathered in canonical order to stay bit-for-bit
-/// reproducible — the fleet gather path keys on this.
+/// True when a node's finished answer for the aggregate (min/max/count)
+/// merges exactly with other nodes' answers in any order — the fleet
+/// pushdown keys on this.  sum/mean/stddev do not depend on row order
+/// either, but a node's rounded sum cannot be merged exactly with another;
+/// first/last depend on the cross-node row order.  Both are re-evaluated
+/// over the gathered rows.
 [[nodiscard]] bool order_insensitive(Aggregate aggregate);
 
 /// One SELECT-list entry: a raw field or an aggregate over a field.

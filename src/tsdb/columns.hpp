@@ -285,8 +285,8 @@ class SeriesView {
 
   /// Streams field `i`'s present cells over logical rows [first, last) of
   /// a contiguous() view as dense (values, times, n) blocks in row order —
-  /// the unpack-to-stack-buffer scan shape the aggregate kernels in
-  /// tsdb/simd_kernels.hpp consume.  Raw and pre-decoded columns with no
+  /// the unpack-to-stack-buffer scan shape the aggregate partials of
+  /// query::execute_columnar consume.  Raw and pre-decoded columns with no
   /// absent rows pass spans straight through (one call, zero copies);
   /// bit-packed integral columns unpack block-sized stack buffers; ragged
   /// columns gather present cells.  `fn(const double*, const TimeNs*,
@@ -476,8 +476,8 @@ struct ViewRow {
 };
 
 /// Rows of all views merged into (time, seq) order — the per-measurement
-/// point order of the seed row store, which keeps merged evaluation (and
-/// its floating-point fold order) bit-for-bit identical.
+/// point order of the seed row store, which raw rows, collect() and dumps
+/// keep.
 std::vector<ViewRow> merged_view_rows(std::span<const SeriesView> views);
 
 }  // namespace pmove::tsdb

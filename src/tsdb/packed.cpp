@@ -73,25 +73,57 @@ PackedInts PackedInts::pack(std::span<const std::int64_t> values) {
   return out;
 }
 
+namespace {
+
+// Lanes of width W never straddle words (W divides 64): whole words decode
+// with constant shifts, one load per 64 / W lanes.
+template <unsigned W>
+void unpack_lanes(const std::uint64_t* words, std::uint64_t base,
+                  std::size_t begin, std::size_t end, std::int64_t* out) {
+  constexpr std::size_t kPerWord = 64 / W;
+  constexpr std::uint64_t kMask = (std::uint64_t{1} << W) - 1;
+  const auto lane = [&](std::size_t i) {
+    return static_cast<std::int64_t>(
+        base + ((words[i / kPerWord] >> (i % kPerWord * W)) & kMask));
+  };
+  std::size_t i = begin;
+  for (; i < end && i % kPerWord != 0; ++i) *out++ = lane(i);
+  for (; i + kPerWord <= end; i += kPerWord) {
+    const std::uint64_t word = words[i / kPerWord];
+    for (std::size_t k = 0; k < kPerWord; ++k) {
+      out[k] = static_cast<std::int64_t>(base + ((word >> (k * W)) & kMask));
+    }
+    out += kPerWord;
+  }
+  for (; i < end; ++i) *out++ = lane(i);
+}
+
+}  // namespace
+
 void PackedInts::unpack(std::size_t begin, std::size_t end,
                         std::int64_t* out) const {
-  if (width == 0) {
-    std::fill(out, out + (end - begin), base);
-    return;
-  }
-  // Lanes never straddle words (width divides 64), so decode is a tight
-  // shift+mask loop the autovectorizer handles.
-  const std::uint64_t b = static_cast<std::uint64_t>(base);
-  const unsigned w = width;
-  if (w == 64) {
-    for (std::size_t i = begin; i < end; ++i)
-      *out++ = static_cast<std::int64_t>(b + words[i]);
-    return;
-  }
-  const std::uint64_t mask = (1ull << w) - 1;
-  for (std::size_t i = begin; i < end; ++i) {
-    const std::uint64_t bit = static_cast<std::uint64_t>(i) * w;
-    *out++ = static_cast<std::int64_t>(b + ((words[bit >> 6] >> (bit & 63)) & mask));
+  const auto b = static_cast<std::uint64_t>(base);
+  switch (width) {
+    case 0:
+      std::fill(out, out + (end - begin), base);
+      return;
+    case 1:
+      return unpack_lanes<1>(words.data(), b, begin, end, out);
+    case 2:
+      return unpack_lanes<2>(words.data(), b, begin, end, out);
+    case 4:
+      return unpack_lanes<4>(words.data(), b, begin, end, out);
+    case 8:
+      return unpack_lanes<8>(words.data(), b, begin, end, out);
+    case 16:
+      return unpack_lanes<16>(words.data(), b, begin, end, out);
+    case 32:
+      return unpack_lanes<32>(words.data(), b, begin, end, out);
+    default:  // 64
+      for (std::size_t i = begin; i < end; ++i) {
+        *out++ = static_cast<std::int64_t>(b + words[i]);
+      }
+      return;
   }
 }
 
@@ -144,6 +176,32 @@ std::uint64_t dod_get(BitReader& r) {
   return unzigzag(r.get(64));
 }
 
+// Walks the rows of one block in order, calling fn(row, value) until it
+// returns true; returns that row, or the block's end when it never does.
+template <class Fn>
+std::size_t walk_block(const DodColumn& col, std::size_t block, Fn&& fn) {
+  const std::size_t start = block * DodColumn::kBlockRows;
+  const std::size_t stop =
+      std::min<std::size_t>(col.rows, start + DodColumn::kBlockRows);
+  BitReader r(col.words.data(), col.blocks[block].bit);
+  auto v = static_cast<std::uint64_t>(col.blocks[block].first);
+  std::uint64_t delta = 0;
+  if (fn(start, static_cast<std::int64_t>(v))) return start;
+  for (std::size_t i = start + 1; i < stop;) {
+    // A run of '0' codes repeats the previous delta (a fixed cadence).
+    for (std::size_t k = r.zero_run(stop - i); k > 0; --k, ++i) {
+      v += delta;
+      if (fn(i, static_cast<std::int64_t>(v))) return i;
+    }
+    if (i == stop) break;
+    delta += dod_get(r);
+    v += delta;
+    if (fn(i, static_cast<std::int64_t>(v))) return i;
+    ++i;
+  }
+  return stop;
+}
+
 }  // namespace
 
 DodColumn DodColumn::pack(std::span<const std::int64_t> values) {
@@ -173,18 +231,11 @@ void DodColumn::unpack(std::size_t begin, std::size_t end,
                        std::int64_t* out) const {
   for (std::size_t block = begin / kBlockRows; block * kBlockRows < end;
        ++block) {
-    const std::size_t start = block * kBlockRows;
-    const std::size_t stop = std::min<std::size_t>(rows, start + kBlockRows);
-    BitReader r(words.data(), blocks[block].bit);
-    std::uint64_t v = static_cast<std::uint64_t>(blocks[block].first);
-    std::uint64_t delta = 0;
-    for (std::size_t i = start; i < stop; ++i) {
-      if (i > start) {
-        delta += dod_get(r);
-        v += delta;
-      }
-      if (i >= begin && i < end) *out++ = static_cast<std::int64_t>(v);
-    }
+    walk_block(*this, block, [&](std::size_t i, std::int64_t v) {
+      if (i >= end) return true;
+      if (i >= begin) *out++ = v;
+      return false;
+    });
   }
 }
 
@@ -196,19 +247,8 @@ std::size_t DodColumn::lower_bound(std::int64_t t) const {
       [t](const Block& b) { return b.first < t; });
   if (it == blocks.begin()) return 0;
   const std::size_t block = static_cast<std::size_t>(it - blocks.begin()) - 1;
-  const std::size_t start = block * kBlockRows;
-  const std::size_t stop = std::min<std::size_t>(rows, start + kBlockRows);
-  BitReader r(words.data(), blocks[block].bit);
-  std::uint64_t v = static_cast<std::uint64_t>(blocks[block].first);
-  std::uint64_t delta = 0;
-  for (std::size_t i = start; i < stop; ++i) {
-    if (i > start) {
-      delta += dod_get(r);
-      v += delta;
-    }
-    if (static_cast<std::int64_t>(v) >= t) return i;
-  }
-  return stop;
+  return walk_block(*this, block,
+                    [t](std::size_t, std::int64_t v) { return v >= t; });
 }
 
 std::size_t DodColumn::upper_bound(std::int64_t t) const {
@@ -218,19 +258,8 @@ std::size_t DodColumn::upper_bound(std::int64_t t) const {
       [t](const Block& b) { return b.first <= t; });
   if (it == blocks.begin()) return 0;
   const std::size_t block = static_cast<std::size_t>(it - blocks.begin()) - 1;
-  const std::size_t start = block * kBlockRows;
-  const std::size_t stop = std::min<std::size_t>(rows, start + kBlockRows);
-  BitReader r(words.data(), blocks[block].bit);
-  std::uint64_t v = static_cast<std::uint64_t>(blocks[block].first);
-  std::uint64_t delta = 0;
-  for (std::size_t i = start; i < stop; ++i) {
-    if (i > start) {
-      delta += dod_get(r);
-      v += delta;
-    }
-    if (static_cast<std::int64_t>(v) > t) return i;
-  }
-  return stop;
+  return walk_block(*this, block,
+                    [t](std::size_t, std::int64_t v) { return v > t; });
 }
 
 // --- PackedBits -------------------------------------------------------------

@@ -25,6 +25,9 @@
 // results, which CI gates on parity with the uncompressed layout.
 #pragma once
 
+#include <algorithm>
+#include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -71,6 +74,18 @@ class BitReader {
     if (off + n > 64) v |= words_[word + 1] << (64 - off);
     bit_ += n;
     return n == 64 ? v : v & ((1ull << n) - 1);
+  }
+
+  /// Consumes the zero bits that follow, up to `max` and to the end of the
+  /// current word, and returns how many there were.
+  std::size_t zero_run(std::size_t max) {
+    const unsigned off = static_cast<unsigned>(bit_ & 63);
+    const std::uint64_t v = words_[bit_ >> 6] >> off;
+    const std::size_t zeros =
+        v == 0 ? 64 - off : static_cast<std::size_t>(std::countr_zero(v));
+    const std::size_t n = std::min(zeros, max);
+    bit_ += n;
+    return n;
   }
 
  private:

@@ -58,9 +58,10 @@ Expected<Socket> tcp_listen(const std::string& host, int port,
 /// The port a bound socket actually listens on.
 Expected<int> local_port(const Socket& listener);
 
-/// Accepts one connection, waiting at most `timeout_ns` (<= 0 blocks).
-/// kDeadlineExceeded on timeout — accept loops use a finite timeout as
-/// their stop-flag poll tick.  TCP_NODELAY is set on the accepted socket.
+/// Accepts one connection, waiting at most `timeout_ns` (<= 0 blocks until
+/// a peer connects or the listener is shut down, which fails the accept).
+/// kDeadlineExceeded on timeout.  TCP_NODELAY is set on the accepted
+/// socket.
 Expected<Socket> tcp_accept(const Socket& listener, TimeNs timeout_ns);
 
 /// Non-blocking connect with a hard timeout, returned in blocking mode

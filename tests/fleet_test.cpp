@@ -8,6 +8,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fault/fault.hpp"
@@ -35,8 +36,8 @@ std::string series_id(std::size_t s) {
 
 /// The canonical workload: timestamps outermost, series in sorted-tag order
 /// within each timestamp — so a single fat node's equal-time arrival order
-/// matches the fleet's canonical (time, tag set) gather order and parity
-/// checks can demand bit-for-bit equality.
+/// matches the fleet's canonical (time, tag set) gather order, which first
+/// and last still depend on; every other aggregate is order-free.
 std::vector<tsdb::Point> demo_batch(std::size_t series = kSeries,
                                     std::size_t per_series = kPerSeries) {
   std::vector<tsdb::Point> batch;
@@ -131,6 +132,23 @@ std::vector<tsdb::Point> nan_first_batch() {
     point.tags["series"] = series_id(s);
     point.time = static_cast<TimeNs>(s + 1) * kStep;
     point.fields["value"] = s == 0 ? std::nan("") : static_cast<double>(s);
+    batch.push_back(std::move(point));
+  }
+  return batch;
+}
+
+/// Three series at one timestamp whose values cancel, arriving h2, h0, h1:
+/// a left fold gave 0 in arrival order and 1 in tag order.
+std::vector<tsdb::Point> tie_batch() {
+  std::vector<tsdb::Point> batch;
+  for (const auto& [host, value] : {std::pair<const char*, double>{"h2", 1.0},
+                                    {"h0", 1e16},
+                                    {"h1", -1e16}}) {
+    tsdb::Point point;
+    point.measurement = "fleet_ties";
+    point.tags["host"] = host;
+    point.time = kStep;
+    point.fields["value"] = value;
     batch.push_back(std::move(point));
   }
   return batch;
@@ -302,7 +320,7 @@ TEST(FleetQuery, ExactGatherParityOnShapes) {
           .select_all()
           .where_tag("series", series_id(7))
           .build(),
-      // Windowed aggregation: order-sensitive folds per bucket.
+      // Windowed aggregation: exact sums per bucket.
       QueryBuilder("fleet_demo")
           .select(Aggregate::kMean, "value")
           .select(Aggregate::kStddev, "value")
@@ -338,7 +356,7 @@ TEST(FleetQuery, PushdownParityAndFlag) {
   EXPECT_TRUE(got->pushdown);
   expect_bitwise_equal(got->result, fat_node_answer(q), "pushdown");
 
-  // An order-sensitive aggregate in the list forces the exact strategy.
+  // A sum-family aggregate in the list forces the exact strategy.
   const Query mixed = QueryBuilder("fleet_demo")
                           .select(Aggregate::kMin, "value")
                           .select(Aggregate::kMean, "value")
@@ -554,6 +572,53 @@ TEST(FleetQuery, SignedZeroExtremesAcrossNodesMatchFatNode) {
     EXPECT_FALSE(std::signbit(fat.rows[0][1]));
     EXPECT_FALSE(std::signbit(fat.rows[0][2]));
   }
+}
+
+// Sums are exact and rounded once, so they do not depend on the order rows
+// meet in: the exact gather's (time, tag set) order and the fat node's
+// arrival order both answer 1 for the cancelling tie, at every fleet size,
+// with pushdown on and off.
+TEST(FleetQuery, TiedCancellingSumsMatchFatNodeAtEveryFleetSize) {
+  const Query queries[] = {
+      QueryBuilder("fleet_ties")
+          .select(Aggregate::kSum, "value")
+          .select(Aggregate::kMean, "value")
+          .select(Aggregate::kStddev, "value")
+          .build(),
+      QueryBuilder("fleet_ties")
+          .select(Aggregate::kSum, "value")
+          .select(Aggregate::kMax, "value")
+          .group_by_time(10 * kStep)
+          .build(),
+      // All min/max/count: pushed down when pushdown is on.
+      QueryBuilder("fleet_ties")
+          .select(Aggregate::kMin, "value")
+          .select(Aggregate::kCount, "value")
+          .build(),
+  };
+  for (int n = 1; n <= 5; ++n) {
+    for (const bool pushdown : {true, false}) {
+      FleetOptions options;
+      options.query.pushdown = pushdown;
+      Fleet fleet(options);
+      join_nodes(fleet, n);
+      ASSERT_TRUE(fleet.write_batch(tie_batch()).is_ok());
+      ASSERT_TRUE(fleet.flush().is_ok());
+      for (const Query& q : queries) {
+        const std::string label = q.to_string() + " [" + std::to_string(n) +
+                                  " nodes, pushdown " +
+                                  (pushdown ? "on" : "off") + "]";
+        auto got = fleet.query(q);
+        ASSERT_TRUE(got.has_value()) << label;
+        EXPECT_FALSE(got->degraded()) << label;
+        expect_bitwise_equal(got->result, fat_node_answer(q, tie_batch()),
+                             label);
+      }
+    }
+  }
+  const tsdb::QueryResult fat = fat_node_answer(queries[0], tie_batch());
+  ASSERT_EQ(fat.rows.size(), 1u);
+  EXPECT_EQ(fat.rows[0][1], 1.0);
 }
 
 TEST(FleetQuery, NotFoundMatchesSingleNodeSemantics) {

@@ -16,7 +16,6 @@
 #include "tsdb/columns.hpp"
 #include "tsdb/db.hpp"
 #include "tsdb/packed.hpp"
-#include "tsdb/simd_kernels.hpp"
 
 namespace pmove::tsdb {
 namespace {
@@ -518,39 +517,70 @@ TEST(PackedDb, DumpLoadRoundTrip) {
   expect_same_result(a.value(), b.value(), "dump/load");
 }
 
-TEST(SimdKernels, FoldMatchesReferenceAggregate) {
-  TimeSeriesDb db;
-  fill_db(db, true, false);
-  db.compact();
-  db.scan("m", 0, std::numeric_limits<TimeNs>::max(), {{"host", "a"}},
-          [&](std::span<const SeriesView> views) {
-            ASSERT_EQ(views.size(), 1u);
-            const SeriesView& view = views[0];
-            ASSERT_TRUE(view.contiguous());
-            const std::size_t field = view.field_index("gauge");
-            ASSERT_LT(field, view.field_count());
-            // Reference: gather the cells, run query::aggregate.
-            std::vector<double> values;
-            std::vector<TimeNs> times;
-            for (std::size_t r = 0; r < view.rows(); ++r) {
-              const auto loc = view.loc_at(r);
-              if (!view.has_value(field, loc)) continue;
-              values.push_back(view.value_at(field, loc));
-              times.push_back(view.time_at(loc));
-            }
-            const simd::FieldFold fold =
-                simd::fold_field(view, field, 0, view.rows());
-            ASSERT_EQ(fold.count, values.size());
-            using query::Aggregate;
-            const auto ref = [&](Aggregate agg) {
-              return query::aggregate(agg, values, times);
-            };
-            EXPECT_EQ(bits_of(fold.sum), bits_of(ref(Aggregate::kSum)));
-            EXPECT_EQ(bits_of(fold.min), bits_of(ref(Aggregate::kMin)));
-            EXPECT_EQ(bits_of(fold.max), bits_of(ref(Aggregate::kMax)));
-            EXPECT_EQ(bits_of(fold.first), bits_of(ref(Aggregate::kFirst)));
-            EXPECT_EQ(bits_of(fold.last), bits_of(ref(Aggregate::kLast)));
-          });
+TEST(PackedDb, PartialFoldMatchesRowAggregate) {
+  // A compacted series' partial fold streams each column in blocks: raw
+  // spans, unpacked integer lanes, decoded XOR doubles, or gathered ragged
+  // cells.  query::aggregate() over the same cells gathered one by one is
+  // the reference, bit for bit, for all eight aggregates, packed and raw,
+  // over the whole series and over a row range inside it.
+  struct Layout {
+    bool packed;
+    bool xor_doubles;
+  };
+  for (const Layout layout : {Layout{false, false}, Layout{true, false},
+                              Layout{true, true}}) {
+    TimeSeriesDb db;
+    fill_db(db, layout.packed, layout.xor_doubles);
+    db.compact();
+    if (layout.packed) {
+      ASSERT_GT(db.stats().compressed_runs, 0u);
+    }
+    for (const char* host : {"a", "b"}) {
+      for (const char* field : {"flag", "count", "gauge"}) {
+        for (const auto& [lo, hi] :
+             {std::pair<TimeNs, TimeNs>{0, 1'000'000},
+              std::pair<TimeNs, TimeNs>{12'345, 41'000}}) {
+          const std::string label =
+              std::string(layout.packed ? "packed" : "raw") +
+              (layout.xor_doubles ? "+xor " : " ") + host + " " + field +
+              " [" + std::to_string(lo) + ", " + std::to_string(hi) + "]";
+          std::vector<double> values;
+          std::vector<TimeNs> times;
+          db.scan("m", lo, hi, {{"host", host}},
+                  [&](std::span<const SeriesView> views) {
+                    ASSERT_EQ(views.size(), 1u);
+                    const SeriesView& view = views[0];
+                    ASSERT_TRUE(view.contiguous());
+                    const std::size_t f = view.field_index(field);
+                    ASSERT_LT(f, view.field_count());
+                    for (std::size_t r = 0; r < view.rows(); ++r) {
+                      const auto loc = view.loc_at(r);
+                      if (!view.has_value(f, loc)) continue;
+                      values.push_back(view.value_at(f, loc));
+                      times.push_back(view.time_at(loc));
+                    }
+                  });
+          ASSERT_FALSE(values.empty()) << label;
+          for (const char* agg : {"count", "min", "max", "first", "last",
+                                  "sum", "mean", "stddev"}) {
+            const auto parsed = query::parse_aggregate(agg);
+            ASSERT_TRUE(parsed.has_value());
+            auto result = query::run(
+                db, "SELECT " + std::string(agg) + "(\"" + field +
+                        "\") FROM \"m\" WHERE host=\"" + host +
+                        "\" AND time >= " + std::to_string(lo) +
+                        " AND time <= " + std::to_string(hi));
+            ASSERT_TRUE(result.has_value()) << label;
+            ASSERT_EQ(result->rows.size(), 1u) << label;
+            EXPECT_EQ(bits_of(result->rows[0][1]),
+                      bits_of(query::aggregate(parsed.value(), values,
+                                               times)))
+                << label << " " << agg;
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -1,17 +1,24 @@
 // Tests for the read-path query module: typed AST + parser, plan/execute,
 // the engine's epoch-keyed result cache, and the PointSink write-path
 // unification.
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <map>
+#include <random>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "exact_reference.hpp"
 #include "query/engine.hpp"
+#include "query/exact_sum.hpp"
 #include "query/plan.hpp"
 #include "query/query.hpp"
 #include "tsdb/db.hpp"
@@ -569,17 +576,16 @@ void expect_bit_identical(const tsdb::QueryResult& a,
 // compacted/packed layouts.
 TEST(QueryParallel, ParallelMatchesSerialBitForBit) {
   const char* texts[] = {
-      // All eight aggregates at once (per-field parallel path).
+      // All eight aggregates at once.
       "SELECT count(\"v\"), min(\"v\"), max(\"v\"), first(\"v\"), "
       "last(\"v\"), sum(\"v\"), mean(\"v\"), stddev(\"v\") FROM \"par\"",
-      // Exact-partial subset (morsel-decomposable aggregates only).
       "SELECT count(\"v\"), min(\"v\"), max(\"w\"), first(\"v\"), "
       "last(\"w\") FROM \"par\"",
       "SELECT first(\"v\"), last(\"v\") FROM \"par\"",
       // Grouped buckets.
       "SELECT mean(\"v\"), stddev(\"w\"), count(\"v\") FROM \"par\" "
       "GROUP BY time(250ns)",
-      // Single-series filter (single-contiguous fast path).
+      // Single-series filter (one series, split into morsels).
       "SELECT min(\"v\"), max(\"v\"), last(\"w\") FROM \"par\" "
       "WHERE set=\"s2\"",
       // Time-bounded.
@@ -618,7 +624,7 @@ TEST(QueryParallel, ParallelMatchesSerialBitForBit) {
 // ------------------------------------------------- order-exact partials
 
 /// The columnar run() against the row evaluator over the same collected
-/// points — the serial fold in (time, seq) order — bit for bit.
+/// points, in (time, seq) order, bit for bit.
 void expect_matches_row_evaluator(const tsdb::TimeSeriesDb& db,
                                   const Query& q, const ExecOptions& opts,
                                   const std::string& label) {
@@ -713,9 +719,9 @@ std::vector<tsdb::Point> partials_workload() {
   return points;
 }
 
-// Grouped count/min/max/first/last fold per (series, bucket) partial and
-// merge per bucket; the answer must be the serial fold's over the merged
-// rows, bit for bit, at every thread count, run layout and compaction.
+// Every aggregate folds per (series, bucket) partial and merges per
+// bucket; the answer must be the row evaluator's over the merged rows, bit
+// for bit, at every thread count, run layout and compaction.
 TEST(QueryExactPartials, GroupedMatchesRowEvaluator) {
   const char* texts[] = {
       "SELECT count(\"v\"), min(\"v\"), max(\"v\"), first(\"v\"), "
@@ -733,6 +739,13 @@ TEST(QueryExactPartials, GroupedMatchesRowEvaluator) {
       // Ungrouped: the one-bucket case of the same fold.
       "SELECT count(\"v\"), min(\"v\"), max(\"v\"), first(\"w\"), "
       "last(\"w\") FROM \"gp\"",
+      // The sum family: exact sums, and stddev's second pass per bucket.
+      "SELECT sum(\"w\"), mean(\"w\"), stddev(\"w\"), sum(\"v\"), "
+      "stddev(\"v\") FROM \"gp\" GROUP BY time(50ns)",
+      "SELECT stddev(\"w\"), mean(\"z\"), max(\"w\"), first(\"w\") "
+      "FROM \"gp\" WHERE set=\"s2\" GROUP BY time(37ns)",
+      "SELECT sum(\"w\"), mean(\"w\"), stddev(\"w\"), count(\"w\") "
+      "FROM \"gp\" WHERE time >= -120",
   };
   const tsdb::RunConfig configs[] = {
       {/*seal_rows=*/2, /*max_sealed=*/1, /*fold_ratio=*/0.25},
@@ -847,6 +860,321 @@ TEST(QueryEngineConcurrency, ParallelQueriesAgainstWritersAndRetention) {
 
   auto final_result = run(db, agg_q, opts);
   ASSERT_TRUE(final_result.has_value());
+}
+
+// ------------------------------------------------------ exact summation
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// Seeded input families for the accumulator: each stresses one way a
+/// floating-point fold goes wrong.
+enum class Family {
+  kUniform,       // [0, 1): nearly every add rounds
+  kIntegers,      // signed integers below 2^39: every add is exact
+  kBinades,       // random signs over 80 binades
+  kAnyFinite,     // random bit patterns: subnormals to DBL_MAX, overflow
+  kSubnormals,    // subnormals and the least normals
+  kNear2p53,      // 2^53 neighbourhood: ties to even at ulp 2
+  kNearMax,       // ±DBL_MAX, its neighbours and half-ulps: rounding to inf
+  kCancelling,    // x and -x of random magnitude beside small values
+  kSpecials,      // ±0, ±inf and NaN among finite values
+};
+constexpr Family kFamilies[] = {
+    Family::kUniform,   Family::kIntegers,   Family::kBinades,
+    Family::kAnyFinite, Family::kSubnormals, Family::kNear2p53,
+    Family::kNearMax,   Family::kCancelling, Family::kSpecials,
+};
+
+std::vector<double> family_values(Family family, std::mt19937_64& rng,
+                                  std::size_t n) {
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  const auto sign = [&rng] { return (rng() & 1) != 0 ? -1.0 : 1.0; };
+  const double max = std::numeric_limits<double>::max();
+  const double denorm = std::numeric_limits<double>::denorm_min();
+  std::vector<double> out;
+  out.reserve(n);
+  while (out.size() < n) {
+    double v = 0.0;
+    switch (family) {
+      case Family::kUniform:
+        v = unit(rng);
+        break;
+      case Family::kIntegers:
+        v = static_cast<double>(static_cast<std::int64_t>(rng() >> 25) -
+                                (std::int64_t{1} << 38));
+        break;
+      case Family::kBinades:
+        v = sign() * std::ldexp(1.0 + unit(rng),
+                                static_cast<int>(rng() % 80) - 40);
+        break;
+      case Family::kAnyFinite:
+        v = std::bit_cast<double>(rng());
+        if (!std::isfinite(v)) continue;
+        break;
+      case Family::kSubnormals:
+        v = sign() * (rng() % 4 == 0
+                          ? std::numeric_limits<double>::min() *
+                                (1.0 + unit(rng))
+                          : denorm * static_cast<double>(rng() >> 12));
+        break;
+      case Family::kNear2p53: {
+        const double picks[] = {9007199254740992.0, 9007199254740994.0,
+                                1.0, 0.5, 2.0, 3.0};
+        v = sign() * picks[rng() % std::size(picks)];
+        break;
+      }
+      case Family::kNearMax: {
+        const double picks[] = {max, std::nextafter(max, 0.0),
+                                std::ldexp(1.0, 1023), std::ldexp(1.0, 970),
+                                std::ldexp(1.0, 969), 1.0, denorm};
+        v = sign() * picks[rng() % std::size(picks)];
+        break;
+      }
+      case Family::kCancelling: {
+        const double x = std::ldexp(1.0 + unit(rng),
+                                    static_cast<int>(rng() % 120) - 20);
+        out.push_back(x);
+        if (out.size() < n) out.push_back(unit(rng));
+        v = -x;
+        break;
+      }
+      case Family::kSpecials: {
+        const double picks[] = {0.0,
+                                -0.0,
+                                std::numeric_limits<double>::infinity(),
+                                -std::numeric_limits<double>::infinity(),
+                                std::nan(""),
+                                1.5,
+                                -2.25};
+        // Mostly finite, so a special is a rare event in a long run.
+        v = rng() % 8 == 0 ? picks[rng() % std::size(picks)]
+                           : sign() * unit(rng);
+        break;
+      }
+    }
+    out.push_back(v);
+  }
+  out.resize(n);
+  return out;
+}
+
+/// The accumulator over `values`, fed as blocks of random length or one
+/// value at a time (the two entry points the folds use).
+ExactSum accumulate(std::span<const double> values, std::mt19937_64& rng) {
+  ExactSum sum;
+  for (std::size_t i = 0; i < values.size();) {
+    if (rng() % 3 == 0) {
+      sum.add(values[i++]);
+      continue;
+    }
+    const std::size_t n = std::min<std::size_t>(values.size() - i,
+                                                 1 + rng() % 600);
+    sum.add(values.data() + i, n);
+    i += n;
+  }
+  return sum;
+}
+
+constexpr std::uint64_t kSumSeed = 20261020;
+
+TEST(ExactSum, MatchesIndependentReferenceOnSeededFamilies) {
+  for (const Family family : kFamilies) {
+    for (int trial = 0; trial < 120; ++trial) {
+      const std::uint64_t seed =
+          kSumSeed + static_cast<std::uint64_t>(family) * 1000 +
+          static_cast<std::uint64_t>(trial);
+      std::mt19937_64 rng(seed);
+      // Mostly short runs, as in a bucket; a few long ones cross the
+      // accumulator's 256-value runs.
+      const std::size_t n =
+          trial % 10 == 9 ? 2000 + rng() % 2000 : 1 + rng() % 40;
+      const std::vector<double> values = family_values(family, rng, n);
+      const double want = testing::reference_sum(values);
+      const double got = accumulate(values, rng).value();
+      ASSERT_EQ(bits(got), bits(want))
+          << "seed " << seed << " family " << static_cast<int>(family)
+          << " n " << n << ": got " << got << ", reference " << want;
+    }
+  }
+}
+
+TEST(ExactSum, SplitMergeAndOrderGiveIdenticalBits) {
+  for (const Family family : kFamilies) {
+    for (int trial = 0; trial < 40; ++trial) {
+      const std::uint64_t seed =
+          kSumSeed + 500'000 + static_cast<std::uint64_t>(family) * 1000 +
+          static_cast<std::uint64_t>(trial);
+      std::mt19937_64 rng(seed);
+      std::vector<double> values =
+          family_values(family, rng, 1 + rng() % 300);
+      const std::uint64_t whole = bits(accumulate(values, rng).value());
+      ASSERT_EQ(whole, bits(testing::reference_sum(values))) << "seed "
+                                                              << seed;
+      // Shuffle, cut into random pieces, sum each, then merge the pieces
+      // pairwise in random order (a random merge tree).
+      std::shuffle(values.begin(), values.end(), rng);
+      std::vector<ExactSum> pieces;
+      for (std::size_t i = 0; i < values.size();) {
+        const std::size_t n =
+            std::min<std::size_t>(values.size() - i, 1 + rng() % 20);
+        pieces.push_back(accumulate(
+            std::span<const double>(values.data() + i, n), rng));
+        i += n;
+      }
+      while (pieces.size() > 1) {
+        const std::size_t a = rng() % pieces.size();
+        std::size_t b = rng() % (pieces.size() - 1);
+        if (b >= a) ++b;
+        // Merge through a copy half the time: copies carry the state.
+        if (rng() % 2 == 0) {
+          pieces[a].merge(pieces[b]);
+        } else {
+          ExactSum copy = pieces[a];
+          copy.merge(pieces[b]);
+          pieces[a] = copy;
+        }
+        pieces.erase(pieces.begin() + static_cast<std::ptrdiff_t>(b));
+      }
+      EXPECT_EQ(bits(pieces[0].value()), whole) << "seed " << seed;
+    }
+  }
+}
+
+TEST(ExactSum, RoundsOnceAtTheEdges) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double max = std::numeric_limits<double>::max();
+  const double denorm = std::numeric_limits<double>::denorm_min();
+  const double two53 = 9007199254740992.0;
+  struct Case {
+    std::vector<double> values;
+    double want;
+  };
+  const Case cases[] = {
+      {{}, 0.0},
+      {{-0.0}, 0.0},
+      {{-0.0, -0.0}, 0.0},
+      {{1.0, -1.0}, 0.0},
+      {{two53, 1.0}, two53},                   // tie: to even
+      {{two53, 1.0, 1.0}, two53 + 2.0},        // exact
+      {{two53 + 2.0, 1.0}, two53 + 4.0},       // tie: to even, upward
+      {{two53, 1.0, denorm}, two53 + 2.0},     // just past the tie
+      {{max, max}, inf},
+      {{max, max, -max}, max},                 // overflow in between
+      {{-max, -max}, -inf},
+      {{max, std::ldexp(1.0, 970)}, inf},      // half an ulp: tie to inf
+      {{max, std::ldexp(1.0, 969)}, max},
+      {{max, std::ldexp(1.0, 970), -denorm}, max},
+      {{denorm, denorm}, 2 * denorm},
+      {{std::numeric_limits<double>::min(), -denorm},
+       std::nextafter(std::numeric_limits<double>::min(), 0.0)},
+      {{inf, 1.0, -max}, inf},
+      {{-inf, 1.0}, -inf},
+  };
+  for (const Case& c : cases) {
+    std::vector<double> order = c.values;
+    std::sort(order.begin(), order.end());
+    do {
+      ExactSum sum;
+      for (const double v : order) sum.add(v);
+      EXPECT_EQ(bits(sum.value()), bits(c.want))
+          << "sum of " << order.size() << " values, want " << c.want
+          << ", got " << sum.value();
+    } while (std::next_permutation(order.begin(), order.end()));
+  }
+  for (const std::vector<double>& nan_sum :
+       {std::vector<double>{inf, -inf}, {1.0, std::nan("")},
+        {std::nan(""), inf}, {-inf, 2.0, inf}}) {
+    ExactSum sum;
+    sum.add(nan_sum.data(), nan_sum.size());
+    EXPECT_TRUE(std::isnan(sum.value()));
+  }
+}
+
+TEST(ExactSum, SquaredDeviationsSumEachRoundedSquareExactly) {
+  std::mt19937_64 rng(kSumSeed + 7);
+  for (int trial = 0; trial < 50; ++trial) {
+    const std::vector<double> values =
+        family_values(Family::kBinades, rng, 1 + rng() % 700);
+    const double mean = values[rng() % values.size()];
+    std::vector<double> squares;
+    for (const double v : values) {
+      const double d = v - mean;
+      squares.push_back(d * d);
+    }
+    ExactSum sum;
+    sum.add_squared_deviations(values.data(), values.size(), mean);
+    EXPECT_EQ(bits(sum.value()), bits(testing::reference_sum(squares)))
+        << "trial " << trial;
+  }
+}
+
+tsdb::Point tie_point(std::string host, TimeNs t, double v) {
+  tsdb::Point p;
+  p.measurement = "ties";
+  p.tags["host"] = std::move(host);
+  p.time = t;
+  p.fields["v"] = v;
+  return p;
+}
+
+// Series that tie on timestamps and hold cancelling values: a left fold
+// in (time, seq) order answered 0 or 1 depending on which series arrived
+// first.  The exact sum answers 1 in every arrival order, on every path,
+// and equals the row evaluator over the collected points.
+TEST(QueryExactSums, TiedCancellingSeriesAnswerTheSameInEveryArrivalOrder) {
+  const std::vector<tsdb::Point> ties = {tie_point("h0", 1000, 1e16),
+                                         tie_point("h1", 1000, -1e16),
+                                         tie_point("h2", 1000, 1.0)};
+  const std::vector<tsdb::Point> later = {tie_point("h0", 2000, 0.1),
+                                          tie_point("h1", 2000, 0.7),
+                                          tie_point("h2", 2000, -0.3)};
+  const char* texts[] = {
+      "SELECT sum(\"v\"), mean(\"v\"), stddev(\"v\"), count(\"v\") "
+      "FROM \"ties\"",
+      "SELECT sum(\"v\"), mean(\"v\"), stddev(\"v\") FROM \"ties\" "
+      "GROUP BY time(1000ns)",
+      "SELECT sum(\"v\") FROM \"ties\" WHERE time <= 1000",
+  };
+  util::TaskPool serial(1);
+  util::TaskPool wide(4);
+  std::map<std::string, tsdb::QueryResult> first_answer;
+  std::vector<std::size_t> order = {0, 1, 2};
+  do {
+    for (const bool compacted : {false, true}) {
+      tsdb::TimeSeriesDb db;
+      for (const std::size_t i : order) {
+        ASSERT_TRUE(db.write(ties[i]).is_ok());
+      }
+      // The later points arrive in the reverse order, after the ties.
+      for (std::size_t i = 3; i-- > 0;) {
+        ASSERT_TRUE(db.write(later[order[i]]).is_ok());
+      }
+      if (compacted) db.compact();
+      for (util::TaskPool* pool : {&serial, &wide}) {
+        ExecOptions opts;
+        opts.pool = pool;
+        opts.parallel_min_rows = 1;
+        opts.morsel_rows = 1;
+        for (const char* text : texts) {
+          const Query q = Query::parse(text).value();
+          const std::string label =
+              std::string(text) + " [arrival h" + std::to_string(order[0]) +
+              " h" + std::to_string(order[1]) + " h" +
+              std::to_string(order[2]) +
+              (compacted ? ", compacted" : ", live") + ", " +
+              std::to_string(pool->size()) + " threads]";
+          expect_matches_row_evaluator(db, q, opts, label);
+          auto got = run(db, q, opts);
+          ASSERT_TRUE(got.has_value()) << label;
+          const auto [it, fresh] = first_answer.emplace(text, *got);
+          if (!fresh) expect_bit_identical(it->second, *got, label);
+        }
+      }
+    }
+  } while (std::next_permutation(order.begin(), order.end()));
+  const tsdb::QueryResult& tie_sum = first_answer.at(texts[2]);
+  ASSERT_EQ(tie_sum.rows.size(), 1u);
+  EXPECT_EQ(bits(tie_sum.rows[0][1]), bits(1.0));
 }
 
 // ------------------------------------------------------- Expected helpers

@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "exact_reference.hpp"
 #include "query/plan.hpp"
 #include "tsdb/db.hpp"
 #include "tsdb/point.hpp"
@@ -523,9 +524,8 @@ TEST(ColumnarTest, DumpLoadRoundTripsEscapesAndMixedFieldSets) {
 
 TEST(ColumnarTest, EveryAggregateMatchesIndependentEvaluator) {
   TimeSeriesDb db;
-  // Two interleaved tag sets with awkward doubles: aggregation folds the
-  // merged (time, arrival) order, so any ordering drift shows up as a
-  // last-bit difference in sum/mean/stddev.
+  // Two interleaved tag sets with awkward doubles, so a sum that is not
+  // exactly rounded shows up as a last-bit difference in sum/mean/stddev.
   std::vector<double> values;
   std::vector<Point> batch;
   for (int i = 0; i < 257; ++i) {
@@ -540,15 +540,20 @@ TEST(ColumnarTest, EveryAggregateMatchesIndependentEvaluator) {
   }
   ASSERT_TRUE(db.write_batch(std::move(batch)).is_ok());
 
-  // The seed evaluator, reimplemented from its documented fold order:
-  // sum/mean left-to-right in point order, stddev two-pass with n-1.
-  double sum = 0.0;
-  for (double v : values) sum += v;
+  // An independent evaluator of the documented rule (docs/STORAGE.md §1):
+  // the exact sum rounded once (a test-only big-integer reference), mean
+  // one division of it, stddev two-pass with n-1 over each rounded
+  // squared deviation, summed exactly.
+  const double sum = pmove::testing::reference_sum(values);
   const double mean = sum / static_cast<double>(values.size());
-  double sq = 0.0;
-  for (double v : values) sq += (v - mean) * (v - mean);
+  std::vector<double> squares;
+  for (double v : values) {
+    const double d = v - mean;
+    squares.push_back(d * d);
+  }
   const double stddev =
-      std::sqrt(sq / static_cast<double>(values.size() - 1));
+      std::sqrt(pmove::testing::reference_sum(squares) /
+                static_cast<double>(values.size() - 1));
   const double expected[] = {
       mean,
       *std::min_element(values.begin(), values.end()),
@@ -829,8 +834,8 @@ TEST(ColumnarTest, RetentionTrimsAcrossRunsAndCompactionPreservesResults) {
 
 TEST(ColumnarTest, AggregatesBitForBitIdenticalAcrossRunConfigs) {
   // The run layout is an implementation detail: any seal/fold schedule
-  // must fold values in the same (time, seq) order and therefore produce
-  // bit-identical floating-point results.  Workload: out-of-order times,
+  // must present the same cells in the same (time, seq) order and
+  // therefore produce bit-identical results.  Workload: out-of-order times,
   // two tag sets, one field that skips rows (presence maps in play).
   const RunConfig configs[] = {
       {/*seal_rows=*/2, /*max_sealed=*/1, /*fold_ratio=*/0.25},

@@ -16,6 +16,7 @@
 #include <map>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "fault/fault.hpp"
@@ -46,8 +47,8 @@ std::string series_id(std::size_t s) {
 }
 
 /// Same canonical workload shape as fleet_test: timestamps outermost so
-/// fat-node arrival order matches the fleet's gather order and parity can
-/// demand bit-for-bit equality.
+/// fat-node arrival order matches the fleet's gather order, which first and
+/// last still depend on.
 std::vector<tsdb::Point> demo_batch(std::size_t series = kSeries,
                                     std::size_t per_series = kPerSeries) {
   std::vector<tsdb::Point> batch;
@@ -129,6 +130,23 @@ void expect_bitwise_equal(const tsdb::QueryResult& got,
           << label << " row " << r << " col " << c;
     }
   }
+}
+
+/// Three series at one timestamp whose values cancel, arriving h2, h0, h1:
+/// a left fold gave 0 in arrival order and 1 in tag order.
+std::vector<tsdb::Point> tie_batch() {
+  std::vector<tsdb::Point> batch;
+  for (const auto& [host, value] : {std::pair<const char*, double>{"h2", 1.0},
+                                    {"h0", 1e16},
+                                    {"h1", -1e16}}) {
+    tsdb::Point point;
+    point.measurement = "fleet_ties";
+    point.tags["host"] = host;
+    point.time = kStep;
+    point.fields["value"] = value;
+    batch.push_back(std::move(point));
+  }
+  return batch;
 }
 
 /// A node behind a live loopback server plus a transport dialed at it —
@@ -674,6 +692,51 @@ TEST(WireFleet, GroupedPushdownParityAndNaNFirst) {
       }
     }
   }
+}
+
+// The cancelling tie over the wire: every fleet size, pushdown on and
+// off, bit-equal to the fat node, whose exact sum is 1.
+TEST(WireFleet, TiedCancellingSumsMatchFatNodeAtEveryFleetSize) {
+  const Query queries[] = {
+      QueryBuilder("fleet_ties")
+          .select(Aggregate::kSum, "value")
+          .select(Aggregate::kMean, "value")
+          .select(Aggregate::kStddev, "value")
+          .build(),
+      QueryBuilder("fleet_ties")
+          .select(Aggregate::kSum, "value")
+          .select(Aggregate::kMax, "value")
+          .group_by_time(10 * kStep)
+          .build(),
+      // All min/max/count: pushed down when pushdown is on.
+      QueryBuilder("fleet_ties")
+          .select(Aggregate::kMin, "value")
+          .select(Aggregate::kCount, "value")
+          .build(),
+  };
+  for (int n = 1; n <= 5; ++n) {
+    for (const bool pushdown : {true, false}) {
+      FleetOptions options = wire_options();
+      options.query.pushdown = pushdown;
+      Fleet fleet(options);
+      join_nodes(fleet, n);
+      ASSERT_TRUE(fleet.write_batch(tie_batch()).is_ok());
+      ASSERT_TRUE(fleet.flush().is_ok());
+      for (const Query& q : queries) {
+        const std::string label = q.to_string() + " [" + std::to_string(n) +
+                                  " nodes, pushdown " +
+                                  (pushdown ? "on" : "off") + "]";
+        auto got = fleet.query(q);
+        ASSERT_TRUE(got.has_value()) << label;
+        EXPECT_FALSE(got->degraded()) << label;
+        expect_bitwise_equal(got->result, fat_node_answer(q, tie_batch()),
+                             label);
+      }
+    }
+  }
+  const tsdb::QueryResult fat = fat_node_answer(queries[0], tie_batch());
+  ASSERT_EQ(fat.rows.size(), 1u);
+  EXPECT_EQ(fat.rows[0][1], 1.0);
 }
 
 TEST(WireFleet, NotFoundMatchesSingleNodeSemantics) {
